@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/queue.h"
 #include "fault/injector.h"
 #include "net/endpoint.h"
 #include "proto/messages.h"
@@ -107,7 +106,7 @@ void BM_FrameRoundtrip(benchmark::State& state) {
   // pop. Payload ownership moves the whole way — cost should be O(1) in
   // payload size, not O(size).
   const std::size_t size = 64 << 10;
-  BlockingQueue<net::Frame> queue;
+  net::FrameQueue queue;
   Bytes payload(size, 0xEE);
   for (auto _ : state) {
     net::Frame frame;
@@ -146,15 +145,6 @@ void BM_GateAnnounceWait(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GateAnnounceWait);
-
-void BM_BlockingQueue(benchmark::State& state) {
-  BlockingQueue<int> queue;
-  for (auto _ : state) {
-    queue.push(1);
-    benchmark::DoNotOptimize(queue.try_pop());
-  }
-}
-BENCHMARK(BM_BlockingQueue);
 
 void BM_SobelKernelFunctional(benchmark::State& state) {
   const std::int64_t dim = state.range(0);

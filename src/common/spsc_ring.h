@@ -1,10 +1,8 @@
 // Lock-free single-producer / single-consumer ring plus the blocking,
 // close-aware queue built on it that the data plane's two single-consumer
 // hot queues use (the remote library's completion pump and the dispatcher→
-// client delivery path). Replaces BlockingQueue there: no mutex, no deque
-// node allocation per item, and a futex wake only when the consumer is
-// actually asleep. BlockingQueue (common/queue.h) remains the tool for
-// genuinely multi-consumer queues.
+// client delivery path): no mutex, no deque node allocation per item, and a
+// futex wake only when the consumer is actually asleep.
 //
 // Contracts (docs/PERFORMANCE.md "hot-path memory discipline"):
 //   SpscRing      — exactly one pushing thread and one popping thread, ever.
@@ -24,9 +22,18 @@
 #include <optional>
 #include <utility>
 
-#include "common/queue.h"
-
 namespace bf {
+
+// Non-blocking pop outcome of SpscQueue::try_pop. `closed` distinguishes
+// "momentarily empty" from "closed and drained" so pollers can stop instead
+// of spinning forever on a dead queue.
+template <typename T>
+struct TryPopResult {
+  std::optional<T> item;
+  bool closed = false;  // true only when the queue is closed AND drained
+
+  [[nodiscard]] bool has_item() const { return item.has_value(); }
+};
 
 // Fixed-capacity lock-free SPSC ring. Capacity must be a power of two.
 // Indices are monotonically increasing; head_ is owned by the consumer,
@@ -78,11 +85,11 @@ class SpscRing {
 };
 
 // Unbounded blocking queue with shutdown semantics, specialized for a
-// single consumer: same interface shape as BlockingQueue (push / pop /
-// try_pop / close) but the common path is a lock-free ring push + a
-// sequence bump, and pop spins through the ring without ever taking a
-// mutex. The consumer blocks on a C++20 atomic wait; producers only
-// notify when `waiting_` says the consumer is actually parked.
+// single consumer (push / pop / try_pop / close). The common path is a
+// lock-free ring push + a sequence bump, and pop spins through the ring
+// without ever taking a mutex. The consumer blocks on a C++20 atomic wait;
+// producers only notify when `waiting_` says the consumer is actually
+// parked.
 template <typename T, std::size_t RingCapacity = 256>
 class SpscQueue {
  public:
@@ -213,6 +220,11 @@ class SpscQueue {
     if (auto item = ring_.try_pop()) return item;
     if (overflow_active_.load(std::memory_order_acquire)) {
       std::lock_guard lock(overflow_mutex_);
+      // Between the miss above and this lock, producers may have refilled
+      // the ring and spilled a newer item into the overflow. Producers stop
+      // pushing to the ring once the overflow is non-empty, so whatever the
+      // ring holds now is older than the overflow's front.
+      if (auto item = ring_.try_pop()) return item;
       if (!overflow_.empty()) {
         std::optional<T> item(std::move(overflow_.front()));
         overflow_.pop_front();

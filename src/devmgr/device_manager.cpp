@@ -72,11 +72,32 @@ void retire_task_storage(Task& task) {
 
 }  // namespace
 
-// See device_manager.h: one instance per task on the worker's stack.
+// See device_manager.h: one instance per task in flight.
 struct CompletionBatch {
   std::shared_ptr<net::Connection> connection;
   bool resolved = false;  // connection lookup done (session may be gone)
   std::vector<net::Completion> staged;
+};
+
+// See device_manager.h: the worker's state for one task in flight.
+struct DeviceManager::TaskRun {
+  struct ExecutedOp {
+    const Operation* op;
+    sim::Board::Interval interval;
+  };
+  const Task* task = nullptr;
+  std::string client_id;           // busy-interval attribution
+  trace::SpanContext request_ctx;  // the task's request (first traced op)
+  bool traced = false;
+  std::vector<ExecutedOp> executed;  // successful ops; filled only if traced
+  vt::Time cursor;                   // completion of the last successful op
+  bool abort_rest = false;           // injected abort: fail remaining ops
+  // Completions are staged per op and delivered once at the end of the
+  // task: one consumer wake instead of one per op. Safe because the worker
+  // never depends on the client observing an earlier op mid-task, and the
+  // frame stamps (and the gate wake bounds anchored inside notify_batch)
+  // are identical to per-op delivery.
+  CompletionBatch completions;
 };
 
 DeviceManager::DeviceManager(DeviceManagerConfig config, sim::Board* board,
@@ -688,7 +709,9 @@ void DeviceManager::worker_loop() {
       // shaken (the sanitizers' favorite food).
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    if (next.batch.empty()) {
+    if (next.task->is_program) {
+      execute_program(*next.task);
+    } else if (next.batch.empty()) {
       execute_task(*next.task);
     } else {
       execute_batch(*next.task, next.batch);
@@ -700,449 +723,296 @@ void DeviceManager::worker_loop() {
   }
 }
 
-void DeviceManager::execute_task(const Task& task) {
-  if (task.is_program) {
-    if (fault::should_fire(fault::site::kDevmgrReconfigAbort)) {
-      // Aborted before the board was touched: resident image and every
-      // client buffer stay intact, the requester sees a terminal status.
-      task.program_waiter->complete(
-          Aborted("injected fault: reconfiguration aborted"), task.ready);
-      return;
-    }
-    const sim::Bitstream* bitstream =
-        sim::BitstreamLibrary::standard().find(task.bitstream_id);
-    if (bitstream == nullptr) {
-      task.program_waiter->complete(
-          NotFound("unknown bitstream '" + task.bitstream_id + "'"),
-          task.ready);
-      return;
-    }
-    // ensure_accelerator dedupes racing program requests (no-op when the
-    // image is already resident), uses a partial-reconfiguration region in
-    // space-sharing mode, and falls back to a full reprogram otherwise.
-    bool wiped_memory = false;
-    auto interval =
-        board_->ensure_accelerator(*bitstream, task.ready, &wiped_memory);
-    if (!interval.ok()) {
-      task.program_waiter->complete(interval.status(), task.ready);
-      return;
-    }
-    if (wiped_memory) {
-      // Full reconfiguration wiped DDR: every client's buffers are gone.
-      std::lock_guard lock(state_mutex_);
-      for (auto& [id, session] : sessions_) {
-        session.buffers.clear();
-      }
-    }
-    if (interval.value().end > interval.value().start) {
-      reconfig_counter_->increment();
-    }
-    task.program_waiter->complete(Status::Ok(), interval.value().end);
+void DeviceManager::execute_program(const Task& task) {
+  if (fault::should_fire(fault::site::kDevmgrReconfigAbort)) {
+    // Aborted before the board was touched: resident image and every
+    // client buffer stay intact, the requester sees a terminal status.
+    task.program_waiter->complete(
+        Aborted("injected fault: reconfiguration aborted"), task.ready);
     return;
   }
+  const sim::Bitstream* bitstream =
+      sim::BitstreamLibrary::standard().find(task.bitstream_id);
+  if (bitstream == nullptr) {
+    task.program_waiter->complete(
+        NotFound("unknown bitstream '" + task.bitstream_id + "'"), task.ready);
+    return;
+  }
+  // ensure_accelerator dedupes racing program requests (no-op when the
+  // image is already resident), uses a partial-reconfiguration region in
+  // space-sharing mode, and falls back to a full reprogram otherwise.
+  bool wiped_memory = false;
+  auto interval =
+      board_->ensure_accelerator(*bitstream, task.ready, &wiped_memory);
+  if (!interval.ok()) {
+    task.program_waiter->complete(interval.status(), task.ready);
+    return;
+  }
+  if (wiped_memory) {
+    // Full reconfiguration wiped DDR: every client's buffers are gone.
+    std::lock_guard lock(state_mutex_);
+    for (auto& [id, session] : sessions_) {
+      session.buffers.clear();
+    }
+  }
+  if (interval.value().end > interval.value().start) {
+    reconfig_counter_->increment();
+  }
+  task.program_waiter->complete(Status::Ok(), interval.value().end);
+}
 
-  std::string client_id;
+DeviceManager::TaskRun DeviceManager::start_run(const Task& task) {
+  TaskRun run;
+  run.task = &task;
+  run.cursor = task.ready;
   {
     std::lock_guard lock(state_mutex_);
     auto session_it = sessions_.find(task.session_id);
     if (session_it != sessions_.end()) {
-      client_id = session_it->second.client_id;
+      run.client_id = session_it->second.client_id;
     }
   }
-  // Completions are staged per op and delivered once at the end of the
-  // task: one consumer wake instead of one per op. Safe because the worker
-  // never depends on the client observing an earlier op mid-task, and the
-  // frame stamps (and the gate wake bounds anchored inside notify_batch)
-  // are identical to per-op delivery.
-  CompletionBatch batch;
   // Request context for the task's spans: ops of one task come from one
   // request in practice (each invocation seals its own flush), so the first
   // traced op carries it. Only *successful* ops earn spans — aborted,
   // poisoned or cancelled ops leave no trace (a tested invariant).
-  trace::SpanContext request_ctx;
   for (const Operation& op : task.ops) {
     if (op.trace.is_valid()) {
-      request_ctx = op.trace;
+      run.request_ctx = op.trace;
       break;
     }
   }
-  const bool traced = request_ctx.is_valid() && trace::enabled();
-  struct ExecutedOp {
-    const Operation* op;
-    sim::Board::Interval interval;
-  };
-  std::vector<ExecutedOp> executed;
-  vt::Time cursor = task.ready;
-  // Task-level spans: "task" = FIFO admission to last op completion, split
-  // into "queue-wait" (admission to first device activity — the paper's
-  // central-queue delay) and "execute", with one "op:<kind>" span per
-  // successful operation. By construction queue-wait + execute == task.
-  // Emitted *before* the final op's completion is notified: the client
-  // woken by that completion may immediately tear the scenario down (and
-  // uninstall the trace sink), so every span must reach the builder first.
-  auto record_task_spans = [&] {
-    if (!traced || executed.empty()) return;
-    vt::Time exec_start = executed.front().interval.start;
-    vt::Time task_end = exec_start;
-    for (const ExecutedOp& rec : executed) {
-      if (rec.interval.start < exec_start) exec_start = rec.interval.start;
-      if (rec.interval.end > task_end) task_end = rec.interval.end;
-    }
-    // Salt from the queue's *deterministic* ordering key (ready stamp +
-    // client), never task.seq: the admission counter is assigned under real
-    // thread races, and golden traces must be byte-identical across runs.
-    const trace::SpanContext task_ctx = request_ctx.child(
-        trace::salt::kTask ^
-        trace::mix64(static_cast<std::uint64_t>(task.ready.ns())) ^
-        trace::fnv1a(task.client_id));
-    const trace::SpanContext wait_ctx =
-        task_ctx.child(trace::salt::kQueueWait);
-    const trace::SpanContext exec_ctx = task_ctx.child(trace::salt::kExecute);
-    trace::record(trace::Span{config_.id, "task", task.ready, task_end,
-                              task_ctx.trace_id, task_ctx.span_id,
-                              request_ctx.span_id});
-    trace::record(trace::Span{config_.id, "queue-wait", task.ready,
-                              exec_start, wait_ctx.trace_id, wait_ctx.span_id,
-                              task_ctx.span_id});
-    trace::record(trace::Span{config_.id, "execute", exec_start, task_end,
-                              exec_ctx.trace_id, exec_ctx.span_id,
-                              task_ctx.span_id});
-    for (const ExecutedOp& rec : executed) {
-      const Operation& op = *rec.op;
-      if (op.kind == Operation::Kind::kFinish) continue;  // zero-width marker
-      const char* kind = op.kind == Operation::Kind::kWrite  ? "op:write"
-                         : op.kind == Operation::Kind::kRead ? "op:read"
-                                                             : "op:kernel";
-      const trace::SpanContext op_ctx =
-          op.trace.child(trace::salt::kOp ^ op.op_id);
-      trace::record(trace::Span{config_.id, kind, rec.interval.start,
-                                rec.interval.end, op_ctx.trace_id,
-                                op_ctx.span_id, exec_ctx.span_id});
-    }
-  };
-  bool abort_rest = false;
-  for (const Operation& op : task.ops) {
-    proto::OpComplete completion;
-    completion.op_id = op.op_id;
-    if (!abort_rest && fault::should_fire(fault::site::kDevmgrTaskAbort)) {
-      abort_rest = true;
-    }
-    if (abort_rest) {
-      // Mid-task shutdown: this op and everything after it in the task is
-      // failed with a terminal status (earlier ops' effects stand) — no
-      // event may be left dangling in FIRST/BUFFER.
-      completion.status = proto::StatusMsg::from(
-          Aborted("injected fault: mid-task shutdown"));
-      {
-        std::lock_guard lock(state_mutex_);
-        ++ops_executed_;
-        if (&op == &task.ops.back()) ++tasks_executed_;
-      }
-      ops_counter_->increment();
-      if (&op == &task.ops.back()) {
-        tasks_counter_->increment();
-        record_task_spans();  // spans for the successful prefix, if any
-      }
-      stage_completion(batch, task.session_id, op.op_id, completion,
-                       cursor);
-      continue;
-    }
-    // Event wait list: delay the op's readiness to its dependencies'
-    // completions. A dependency whose command was never flushed is a
-    // client-side ordering error (OpenCL would deadlock; we fail fast).
-    Status wait_status;
-    vt::Time op_ready = cursor;
-    if (!op.wait_op_ids.empty()) {
-      std::lock_guard lock(state_mutex_);
-      auto session_it = sessions_.find(task.session_id);
-      for (std::uint64_t wait_id : op.wait_op_ids) {
-        if (session_it == sessions_.end()) break;
-        auto done = session_it->second.completed_ops.find(wait_id);
-        if (done == session_it->second.completed_ops.end()) {
-          wait_status = FailedPrecondition(
-              "wait-list op " + std::to_string(wait_id) +
-              " has not completed (flush its queue first)");
-          break;
-        }
-        op_ready = vt::max(op_ready, done->second);
-      }
-    }
-    if (!wait_status.ok()) {
-      completion.status = proto::StatusMsg::from(wait_status);
-      if (&op == &task.ops.back()) record_task_spans();
-      stage_completion(batch, task.session_id, op.op_id, completion,
-                       cursor);
-      {
-        std::lock_guard lock(state_mutex_);
-        ++ops_executed_;
-        if (&op == &task.ops.back()) ++tasks_executed_;
-      }
-      ops_counter_->increment();
-      if (&op == &task.ops.back()) tasks_counter_->increment();
-      continue;
-    }
-    auto interval =
-        execute_operation(task.session_id, op, op_ready, completion);
-    if (interval.ok()) {
-      cursor = interval.value().end;
-      if (traced) executed.push_back(ExecutedOp{&op, interval.value()});
-      completion.status = proto::StatusMsg::from(Status::Ok());
-      std::lock_guard lock(state_mutex_);
-      if (interval.value().end > interval.value().start) {
-        busy_records_.push_back(BusyRecord{client_id, interval.value()});
-      }
-      auto session_it = sessions_.find(task.session_id);
-      if (session_it != sessions_.end()) {
-        session_it->second.completed_ops[op.op_id] = interval.value().end;
-      }
-    } else {
-      completion.status = proto::StatusMsg::from(interval.status());
-    }
-    // Account before notifying: a client woken by the completion must
-    // observe the op as executed.
-    {
-      std::lock_guard lock(state_mutex_);
-      ++ops_executed_;
-      if (&op == &task.ops.back()) ++tasks_executed_;
-    }
-    ops_counter_->increment();
-    if (&op == &task.ops.back()) {
-      tasks_counter_->increment();
-      // The exemplar lets an operator jump from a slow histogram bucket to
-      // the exact trace that landed in it.
-      task_span_ms_->observe((cursor - task.ready).ms(),
-                             request_ctx.trace_id);
-      busy_ms_gauge_->set(board_->busy_total().ms());
-      record_task_spans();
-    }
-    stage_completion(batch, task.session_id, op.op_id, completion,
-                     cursor);
-  }
-  flush_completions(batch);
+  run.traced = run.request_ctx.is_valid() && trace::enabled();
+  return run;
+}
+
+void DeviceManager::execute_task(const Task& task) {
+  TaskRun run = start_run(task);
+  for (const Operation& op : task.ops) run_op(run, op);
+  flush_completions(run.completions);
 }
 
 void DeviceManager::execute_batch(const Task& lead,
                                   const std::vector<Task>& companions) {
   // The scheduler only coalesces batchable tasks: one dependency-free kernel
-  // launch each (devmgr/scheduler.h), so the wait-list and program paths of
-  // execute_task cannot occur here. Phase A runs every task's pre-kernel
+  // launch each (devmgr/scheduler.h). Phase A runs every task's pre-kernel
   // transfers in batch order, the kernel launches execute as one board pass,
   // and phase C runs the post-kernel ops — preserving each client's op order
-  // and the per-op completion/metrics/span semantics of execute_task.
-  struct ExecutedOp {
-    const Operation* op;
-    sim::Board::Interval interval;
-  };
-  struct Item {
-    const Task* task = nullptr;
-    std::string client_id;
-    trace::SpanContext request_ctx;
-    bool traced = false;
-    std::vector<ExecutedOp> executed;
-    vt::Time cursor;
-    bool abort_rest = false;
-    std::size_t kernel_index = 0;
-    CompletionBatch net_batch;  // per-task staging, one wake per client
-  };
-  std::vector<Item> items;
-  items.reserve(1 + companions.size());
-  auto add_item = [&](const Task& task) {
-    Item item;
-    item.task = &task;
-    item.cursor = task.ready;
-    {
-      std::lock_guard lock(state_mutex_);
-      auto session_it = sessions_.find(task.session_id);
-      if (session_it != sessions_.end()) {
-        item.client_id = session_it->second.client_id;
-      }
-    }
-    for (std::size_t i = 0; i < task.ops.size(); ++i) {
-      const Operation& op = task.ops[i];
-      if (op.kind == Operation::Kind::kKernel) item.kernel_index = i;
-      if (!item.request_ctx.is_valid() && op.trace.is_valid()) {
-        item.request_ctx = op.trace;
-      }
-    }
-    item.traced = item.request_ctx.is_valid() && trace::enabled();
-    items.push_back(std::move(item));
-  };
-  add_item(lead);
-  for (const Task& companion : companions) add_item(companion);
-
-  auto record_task_spans = [&](Item& item) {
-    if (!item.traced || item.executed.empty()) return;
-    const Task& task = *item.task;
-    vt::Time exec_start = item.executed.front().interval.start;
-    vt::Time task_end = exec_start;
-    for (const ExecutedOp& rec : item.executed) {
-      if (rec.interval.start < exec_start) exec_start = rec.interval.start;
-      if (rec.interval.end > task_end) task_end = rec.interval.end;
-    }
-    const trace::SpanContext task_ctx = item.request_ctx.child(
-        trace::salt::kTask ^
-        trace::mix64(static_cast<std::uint64_t>(task.ready.ns())) ^
-        trace::fnv1a(task.client_id));
-    const trace::SpanContext wait_ctx =
-        task_ctx.child(trace::salt::kQueueWait);
-    const trace::SpanContext exec_ctx = task_ctx.child(trace::salt::kExecute);
-    trace::record(trace::Span{config_.id, "task", task.ready, task_end,
-                              task_ctx.trace_id, task_ctx.span_id,
-                              item.request_ctx.span_id});
-    trace::record(trace::Span{config_.id, "queue-wait", task.ready,
-                              exec_start, wait_ctx.trace_id, wait_ctx.span_id,
-                              task_ctx.span_id});
-    trace::record(trace::Span{config_.id, "execute", exec_start, task_end,
-                              exec_ctx.trace_id, exec_ctx.span_id,
-                              task_ctx.span_id});
-    for (const ExecutedOp& rec : item.executed) {
-      const Operation& op = *rec.op;
-      if (op.kind == Operation::Kind::kFinish) continue;  // zero-width marker
-      const char* kind = op.kind == Operation::Kind::kWrite  ? "op:write"
-                         : op.kind == Operation::Kind::kRead ? "op:read"
-                                                             : "op:kernel";
-      const trace::SpanContext op_ctx =
-          op.trace.child(trace::salt::kOp ^ op.op_id);
-      trace::record(trace::Span{config_.id, kind, rec.interval.start,
-                                rec.interval.end, op_ctx.trace_id,
-                                op_ctx.span_id, exec_ctx.span_id});
-    }
-  };
-
-  auto fail_op_aborted = [&](Item& item, const Operation& op) {
-    proto::OpComplete completion;
-    completion.op_id = op.op_id;
-    completion.status =
-        proto::StatusMsg::from(Aborted("injected fault: mid-task shutdown"));
-    {
-      std::lock_guard lock(state_mutex_);
-      ++ops_executed_;
-      if (&op == &item.task->ops.back()) ++tasks_executed_;
-    }
-    ops_counter_->increment();
-    if (&op == &item.task->ops.back()) {
-      tasks_counter_->increment();
-      record_task_spans(item);  // spans for the successful prefix, if any
-    }
-    stage_completion(item.net_batch, item.task->session_id, op.op_id,
-                     completion, item.cursor);
-  };
-
-  auto complete_op = [&](Item& item, const Operation& op,
-                         const Result<sim::Board::Interval>& interval,
-                         proto::OpComplete& completion) {
-    const Task& task = *item.task;
-    if (interval.ok()) {
-      item.cursor = interval.value().end;
-      if (item.traced) {
-        item.executed.push_back(ExecutedOp{&op, interval.value()});
-      }
-      completion.status = proto::StatusMsg::from(Status::Ok());
-      std::lock_guard lock(state_mutex_);
-      if (interval.value().end > interval.value().start) {
-        busy_records_.push_back(BusyRecord{item.client_id, interval.value()});
-      }
-      auto session_it = sessions_.find(task.session_id);
-      if (session_it != sessions_.end()) {
-        session_it->second.completed_ops[op.op_id] = interval.value().end;
-      }
-    } else {
-      completion.status = proto::StatusMsg::from(interval.status());
-    }
-    {
-      std::lock_guard lock(state_mutex_);
-      ++ops_executed_;
-      if (&op == &task.ops.back()) ++tasks_executed_;
-    }
-    ops_counter_->increment();
-    if (&op == &task.ops.back()) {
-      tasks_counter_->increment();
-      task_span_ms_->observe((item.cursor - task.ready).ms(),
-                             item.request_ctx.trace_id);
-      busy_ms_gauge_->set(board_->busy_total().ms());
-      record_task_spans(item);
-    }
-    stage_completion(item.net_batch, task.session_id, op.op_id, completion,
-                     item.cursor);
-  };
-
-  auto run_op = [&](Item& item, const Operation& op) {
-    if (!item.abort_rest &&
-        fault::should_fire(fault::site::kDevmgrTaskAbort)) {
-      item.abort_rest = true;
-    }
-    if (item.abort_rest) {
-      fail_op_aborted(item, op);
-      return;
-    }
-    proto::OpComplete completion;
-    completion.op_id = op.op_id;
-    auto interval =
-        execute_operation(item.task->session_id, op, item.cursor, completion);
-    complete_op(item, op, interval, completion);
+  // and the per-op completion/metrics/span semantics of an unbatched task.
+  std::vector<TaskRun> runs;
+  runs.reserve(1 + companions.size());
+  runs.push_back(start_run(lead));
+  for (const Task& companion : companions) {
+    runs.push_back(start_run(companion));
+  }
+  auto kernel_index = [](const TaskRun& run) {
+    const std::vector<Operation>& ops = run.task->ops;
+    return static_cast<std::size_t>(
+        std::find_if(ops.begin(), ops.end(),
+                     [](const Operation& op) {
+                       return op.kind == Operation::Kind::kKernel;
+                     }) -
+        ops.begin());
   };
 
   // Phase A: pre-kernel transfers, batch order.
-  for (Item& item : items) {
-    for (std::size_t i = 0; i < item.kernel_index; ++i) {
-      run_op(item, item.task->ops[i]);
-    }
+  for (TaskRun& run : runs) {
+    const std::size_t kernel = kernel_index(run);
+    for (std::size_t i = 0; i < kernel; ++i) run_op(run, run.task->ops[i]);
   }
 
   // The coalesced kernel pass: one launch overhead for the whole batch. A
   // task aborted or failed during phase A drops out; its kernel op fails.
-  std::vector<Item*> live;
+  std::vector<TaskRun*> live;
   std::vector<sim::KernelLaunch> launches;
   vt::Time pass_ready = vt::Time::zero();
-  for (Item& item : items) {
-    const Operation& op = item.task->ops[item.kernel_index];
-    if (!item.abort_rest &&
-        fault::should_fire(fault::site::kDevmgrTaskAbort)) {
-      item.abort_rest = true;
-    }
-    if (item.abort_rest) {
-      fail_op_aborted(item, op);
-      continue;
-    }
-    auto launch = resolve_kernel(item.task->session_id, op);
+  for (TaskRun& run : runs) {
+    const Operation& op = run.task->ops[kernel_index(run)];
+    const std::optional<vt::Time> ready = admit_op(run, op);
+    if (!ready.has_value()) continue;
+    auto launch = resolve_kernel(run.task->session_id, op);
     if (!launch.ok()) {
       proto::OpComplete completion;
       completion.op_id = op.op_id;
-      complete_op(item, op, launch.status(), completion);
+      finish_op(run, op, launch.status(), completion, /*attempted=*/true);
       continue;
     }
-    if (op.trace.is_valid()) {
-      launch.value().trace = op.trace.child(trace::salt::kOp ^ op.op_id);
-    }
-    live.push_back(&item);
+    live.push_back(&run);
     launches.push_back(std::move(launch.value()));
-    pass_ready = vt::max(pass_ready, item.cursor);
+    pass_ready = vt::max(pass_ready, *ready);
   }
   if (!live.empty()) {
     auto intervals = board_->run_kernel_batch(launches, pass_ready);
     for (std::size_t i = 0; i < live.size(); ++i) {
-      Item& item = *live[i];
-      const Operation& op = item.task->ops[item.kernel_index];
+      TaskRun& run = *live[i];
+      const Operation& op = run.task->ops[kernel_index(run)];
       proto::OpComplete completion;
       completion.op_id = op.op_id;
       if (intervals.ok()) {
-        complete_op(item, op, intervals.value()[i], completion);
+        finish_op(run, op, intervals.value()[i], completion,
+                  /*attempted=*/true);
       } else {
-        complete_op(item, op, intervals.status(), completion);
+        finish_op(run, op, intervals.status(), completion,
+                  /*attempted=*/true);
       }
     }
   }
 
   // Phase C: post-kernel ops (reads, finish markers), batch order.
-  for (Item& item : items) {
-    for (std::size_t i = item.kernel_index + 1; i < item.task->ops.size();
+  for (TaskRun& run : runs) {
+    for (std::size_t i = kernel_index(run) + 1; i < run.task->ops.size();
          ++i) {
-      run_op(item, item.task->ops[i]);
+      run_op(run, run.task->ops[i]);
     }
   }
 
-  for (Item& item : items) {
-    flush_completions(item.net_batch);
+  for (TaskRun& run : runs) {
+    flush_completions(run.completions);
+  }
+}
+
+void DeviceManager::run_op(TaskRun& run, const Operation& op) {
+  const std::optional<vt::Time> ready = admit_op(run, op);
+  if (!ready.has_value()) return;
+  proto::OpComplete completion;
+  completion.op_id = op.op_id;
+  auto interval =
+      execute_operation(run.task->session_id, op, *ready, completion);
+  finish_op(run, op, interval, completion, /*attempted=*/true);
+}
+
+std::optional<vt::Time> DeviceManager::admit_op(TaskRun& run,
+                                                const Operation& op) {
+  auto retire = [&](const Status& status) {
+    proto::OpComplete completion;
+    completion.op_id = op.op_id;
+    finish_op(run, op, status, completion, /*attempted=*/false);
+  };
+  if (!run.abort_rest && fault::should_fire(fault::site::kDevmgrTaskAbort)) {
+    run.abort_rest = true;
+  }
+  if (run.abort_rest) {
+    // Mid-task shutdown: this op and everything after it in the task is
+    // failed with a terminal status (earlier ops' effects stand) — no
+    // event may be left dangling in FIRST/BUFFER.
+    retire(Aborted("injected fault: mid-task shutdown"));
+    return std::nullopt;
+  }
+  // Event wait list: delay the op's readiness to its dependencies'
+  // completions. A dependency whose command was never flushed is a
+  // client-side ordering error (OpenCL would deadlock; we fail fast).
+  vt::Time op_ready = run.cursor;
+  if (op.wait_op_ids.empty()) return op_ready;
+  Status wait_status;
+  {
+    std::lock_guard lock(state_mutex_);
+    auto session_it = sessions_.find(run.task->session_id);
+    for (std::uint64_t wait_id : op.wait_op_ids) {
+      if (session_it == sessions_.end()) break;
+      auto done = session_it->second.completed_ops.find(wait_id);
+      if (done == session_it->second.completed_ops.end()) {
+        wait_status = FailedPrecondition(
+            "wait-list op " + std::to_string(wait_id) +
+            " has not completed (flush its queue first)");
+        break;
+      }
+      op_ready = vt::max(op_ready, done->second);
+    }
+  }
+  if (!wait_status.ok()) {
+    retire(wait_status);
+    return std::nullopt;
+  }
+  return op_ready;
+}
+
+void DeviceManager::finish_op(TaskRun& run, const Operation& op,
+                              const Result<sim::Board::Interval>& outcome,
+                              proto::OpComplete& completion, bool attempted) {
+  const Task& task = *run.task;
+  if (outcome.ok()) {
+    const sim::Board::Interval& interval = outcome.value();
+    run.cursor = interval.end;
+    if (run.traced) run.executed.push_back({&op, interval});
+    std::lock_guard lock(state_mutex_);
+    if (interval.end > interval.start) {
+      busy_records_.push_back(BusyRecord{run.client_id, interval});
+    }
+    auto session_it = sessions_.find(task.session_id);
+    if (session_it != sessions_.end()) {
+      session_it->second.completed_ops[op.op_id] = interval.end;
+    }
+  }
+  completion.status = proto::StatusMsg::from(outcome.status());
+  // Account before notifying: a client woken by the completion must
+  // observe the op as executed.
+  const bool last = &op == &task.ops.back();
+  {
+    std::lock_guard lock(state_mutex_);
+    ++ops_executed_;
+    if (last) ++tasks_executed_;
+  }
+  ops_counter_->increment();
+  if (last) {
+    tasks_counter_->increment();
+    if (attempted) {
+      // The exemplar lets an operator jump from a slow histogram bucket to
+      // the exact trace that landed in it.
+      task_span_ms_->observe((run.cursor - task.ready).ms(),
+                             run.request_ctx.trace_id);
+      busy_ms_gauge_->set(board_->busy_total().ms());
+    }
+    record_task_spans(run);  // for the successful prefix, if any
+  }
+  stage_completion(run.completions, task.session_id, op.op_id, completion,
+                   run.cursor);
+}
+
+// Task-level spans: "task" = FIFO admission to last op completion, split
+// into "queue-wait" (admission to first device activity — the paper's
+// central-queue delay) and "execute", with one "op:<kind>" span per
+// successful operation. By construction queue-wait + execute == task.
+// Emitted *before* the final op's completion is notified: the client woken
+// by that completion may immediately tear the scenario down (and uninstall
+// the trace sink), so every span must reach the builder first.
+void DeviceManager::record_task_spans(const TaskRun& run) {
+  if (!run.traced || run.executed.empty()) return;
+  const Task& task = *run.task;
+  vt::Time exec_start = run.executed.front().interval.start;
+  vt::Time task_end = exec_start;
+  for (const TaskRun::ExecutedOp& rec : run.executed) {
+    if (rec.interval.start < exec_start) exec_start = rec.interval.start;
+    if (rec.interval.end > task_end) task_end = rec.interval.end;
+  }
+  // Salt from the queue's *deterministic* ordering key (ready stamp +
+  // client), never task.seq: the admission counter is assigned under real
+  // thread races, and golden traces must be byte-identical across runs.
+  const trace::SpanContext task_ctx = run.request_ctx.child(
+      trace::salt::kTask ^
+      trace::mix64(static_cast<std::uint64_t>(task.ready.ns())) ^
+      trace::fnv1a(task.client_id));
+  const trace::SpanContext wait_ctx = task_ctx.child(trace::salt::kQueueWait);
+  const trace::SpanContext exec_ctx = task_ctx.child(trace::salt::kExecute);
+  trace::record(trace::Span{config_.id, "task", task.ready, task_end,
+                            task_ctx.trace_id, task_ctx.span_id,
+                            run.request_ctx.span_id});
+  trace::record(trace::Span{config_.id, "queue-wait", task.ready, exec_start,
+                            wait_ctx.trace_id, wait_ctx.span_id,
+                            task_ctx.span_id});
+  trace::record(trace::Span{config_.id, "execute", exec_start, task_end,
+                            exec_ctx.trace_id, exec_ctx.span_id,
+                            task_ctx.span_id});
+  for (const TaskRun::ExecutedOp& rec : run.executed) {
+    const Operation& op = *rec.op;
+    if (op.kind == Operation::Kind::kFinish) continue;  // zero-width marker
+    const char* kind = op.kind == Operation::Kind::kWrite  ? "op:write"
+                       : op.kind == Operation::Kind::kRead ? "op:read"
+                                                           : "op:kernel";
+    const trace::SpanContext op_ctx =
+        op.trace.child(trace::salt::kOp ^ op.op_id);
+    trace::record(trace::Span{config_.id, kind, rec.interval.start,
+                              rec.interval.end, op_ctx.trace_id,
+                              op_ctx.span_id, exec_ctx.span_id});
   }
 }
 
@@ -1221,11 +1091,6 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
     case Operation::Kind::kKernel: {
       auto launch = resolve_kernel(session_id, op);
       if (!launch.ok()) return launch.status();
-      if (op.trace.is_valid()) {
-        // Same derivation as the "op:kernel" span in execute_task, so the
-        // board's kernel span nests under it.
-        launch.value().trace = op.trace.child(trace::salt::kOp ^ op.op_id);
-      }
       return board_->run_kernel(launch.value(), ready);
     }
     case Operation::Kind::kFinish:
@@ -1273,6 +1138,11 @@ Result<sim::KernelLaunch> DeviceManager::resolve_kernel(
         return InvalidArgument("kernel arg " + std::to_string(i) +
                                " is unset");
     }
+  }
+  if (op.trace.is_valid()) {
+    // Same derivation as the "op:kernel" span in record_task_spans, so the
+    // board's kernel span nests under it.
+    launch.trace = op.trace.child(trace::salt::kOp ^ op.op_id);
   }
   return launch;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,11 +164,34 @@ class DeviceManager {
   void seal_task(Session& session, std::uint64_t queue_id, vt::Time ready,
                  vt::Time deadline);
 
-  // Worker-side execution.
+  // Worker-side execution. Every command task runs through one per-task
+  // core: a TaskRun (cursor, traced ops, abort flag, staged completions)
+  // advanced op by op through admit_op / finish_op, which own the abort
+  // fault site, wait-list resolution, accounting and completion staging.
+  struct TaskRun;  // defined in device_manager.cpp
+  // Board reconfiguration (the synchronous kProgram method).
+  void execute_program(const Task& task);
+  // Runs the task's ops in order.
   void execute_task(const Task& task);
   // Executes a batchable lead task plus its coalesced companions as one
-  // board pass (kBatching policy; devmgr/scheduler.h).
+  // board pass (kBatching policy; devmgr/scheduler.h): phase A transfers,
+  // one Board::run_kernel_batch, phase C reads — over the same core.
   void execute_batch(const Task& lead, const std::vector<Task>& companions);
+  TaskRun start_run(const Task& task);
+  // admit_op + execute_operation + finish_op.
+  void run_op(TaskRun& run, const Operation& op);
+  // Consults the abort fault site and resolves the op's event wait list.
+  // Returns the op's ready stamp, or nullopt after retiring an op that must
+  // not execute (injected abort, unmet dependency).
+  std::optional<vt::Time> admit_op(TaskRun& run, const Operation& op);
+  // Retires one op: books a successful interval, counts the op (and the
+  // task on its last op), records the task's spans after its last op, and
+  // stages the completion. Ops retired without an execution attempt
+  // (`attempted` false) leave the task-span histogram and busy gauge alone.
+  void finish_op(TaskRun& run, const Operation& op,
+                 const Result<sim::Board::Interval>& outcome,
+                 proto::OpComplete& completion, bool attempted);
+  void record_task_spans(const TaskRun& run);
   // Returns the op's exclusive board occupancy interval.
   Result<sim::Board::Interval> execute_operation(
       std::uint64_t session_id, const Operation& op, vt::Time ready,

@@ -32,7 +32,6 @@
 
 #include "common/bytes.h"
 #include "common/call_options.h"
-#include "common/queue.h"
 #include "common/spsc_ring.h"
 #include "common/status.h"
 #include "net/transport.h"
@@ -67,11 +66,11 @@ class ServerEndpoint;
 
 // Both per-connection frame queues have exactly one consumer (the server
 // dispatcher drains the inbox, the client pump drains the notification
-// stream), so they ride the lock-light SPSC queue instead of BlockingQueue:
-// ring push + sequence bump per frame, futex wake only when the consumer is
-// parked, no deque node allocation. Producers (app thread on the inbox;
-// dispatcher ack + device worker completions on the stream) serialize on the
-// queue's internal producer lock.
+// stream), so they ride the lock-light SPSC queue: ring push + sequence
+// bump per frame, futex wake only when the consumer is parked, no deque node
+// allocation. Producers (app thread on the inbox; dispatcher ack + device
+// worker completions on the stream) serialize on the queue's internal
+// producer lock.
 using FrameQueue = SpscQueue<Frame, 64>;
 
 // A server->client completion staged by the device worker. Worker threads

@@ -1,12 +1,9 @@
-// bf::common: Status/Result, BlockingQueue, SampleStats, Rng, bytes.
+// bf::common: Status/Result, SampleStats, Rng, bytes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
-#include <thread>
 
 #include "common/bytes.h"
-#include "common/queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -75,73 +72,6 @@ TEST(BfCheck, ThrowsWithLocation) {
     EXPECT_NE(std::string(error.what()).find("common_test"),
               std::string::npos);
   }
-}
-
-// ---- BlockingQueue -------------------------------------------------------------
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> queue;
-  for (int i = 0; i < 10; ++i) queue.push(i);
-  for (int i = 0; i < 10; ++i) {
-    auto item = queue.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, i);
-  }
-}
-
-TEST(BlockingQueue, TryPopOnEmpty) {
-  BlockingQueue<int> queue;
-  EXPECT_FALSE(queue.try_pop().has_item());
-}
-
-TEST(BlockingQueue, CloseDrainsThenReturnsNullopt) {
-  BlockingQueue<int> queue;
-  queue.push(1);
-  queue.close();
-  EXPECT_FALSE(queue.push(2));  // rejected after close
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
-TEST(BlockingQueue, CloseWakesBlockedConsumer) {
-  BlockingQueue<int> queue;
-  std::atomic<bool> woke{false};
-  std::thread consumer([&] {
-    EXPECT_FALSE(queue.pop().has_value());
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.close();
-  consumer.join();
-  EXPECT_TRUE(woke);
-}
-
-TEST(BlockingQueue, MultiProducerMultiConsumer) {
-  BlockingQueue<int> queue;
-  constexpr int kPerProducer = 1000;
-  constexpr int kProducers = 4;
-  std::atomic<int> consumed{0};
-  std::atomic<long long> sum{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) queue.push(p * kPerProducer + i);
-    });
-  }
-  for (int c = 0; c < 3; ++c) {
-    threads.emplace_back([&] {
-      while (auto item = queue.pop()) {
-        sum += *item;
-        ++consumed;
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  queue.close();
-  for (std::size_t i = kProducers; i < threads.size(); ++i) threads[i].join();
-  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
-  const long long n = kProducers * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 // ---- SampleStats ----------------------------------------------------------------

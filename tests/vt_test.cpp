@@ -6,7 +6,6 @@
 
 #include "vt/cursor.h"
 #include "vt/gate.h"
-#include "vt/pacer.h"
 #include "vt/time.h"
 
 namespace bf::vt {
@@ -173,26 +172,6 @@ TEST(Gate, ConservativeOrderingUnderConcurrency) {
   p2.join();
   consumer.join();
   EXPECT_FALSE(violation.load());
-}
-
-// ---- Pacer --------------------------------------------------------------------
-
-TEST(Pacer, DisabledPacerNeverSleeps) {
-  Pacer pacer(0.0);
-  const auto before = std::chrono::steady_clock::now();
-  pacer.pace(Time::seconds(100));
-  EXPECT_LT(std::chrono::steady_clock::now() - before,
-            std::chrono::milliseconds(5));
-  EXPECT_FALSE(pacer.enabled());
-}
-
-TEST(Pacer, ScaledPacerSleepsProportionally) {
-  Pacer pacer(100.0);  // 100 virtual seconds per real second
-  const auto before = std::chrono::steady_clock::now();
-  pacer.pace(Time::millis(2000));  // => 20ms real
-  const auto elapsed = std::chrono::steady_clock::now() - before;
-  EXPECT_GE(elapsed, std::chrono::milliseconds(15));
-  EXPECT_TRUE(pacer.enabled());
 }
 
 }  // namespace

@@ -116,19 +116,4 @@ if [ "$status" -eq 0 ]; then
   echo "check_api: payload buffers are bf::Bytes everywhere in src/."
 fi
 
-# The two stream queues with exactly one consumer (the manager's inbox
-# dispatcher, the client's notification pump) must stay on SpscQueue.
-# Reintroducing BlockingQueue<Frame> there silently restores the
-# mutex+deque hot path and per-item wakeups that the batched-notify work
-# removed. BlockingQueue remains the right tool for genuinely MPMC queues.
-while IFS=: read -r file line text; do
-  echo "check_api: $file:$line: BlockingQueue<Frame> on a single-consumer" \
-       "stream — use SpscQueue (common/spsc_ring.h)" >&2
-  status=1
-done < <(grep -rnE 'BlockingQueue<[[:space:]]*(net::)?Frame\b' "$repo/src" \
-           --include='*.cpp' --include='*.h' || true)
-
-if [ "$status" -eq 0 ]; then
-  echo "check_api: single-consumer frame streams are on SpscQueue."
-fi
 exit "$status"
