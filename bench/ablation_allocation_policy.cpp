@@ -86,6 +86,7 @@ PolicyOutcome run_policy(const std::string& name,
              pod->phase == cluster::PodPhase::kRunning);
     (void)device;
   }
+  check_no_stall_fallbacks(bed);
   return out;
 }
 

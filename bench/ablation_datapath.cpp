@@ -53,6 +53,7 @@ double sobel_rtt_with_copies(unsigned extra_copies) {
     if (i > 0) total += (session.now() - before).ms();
   }
   workload.teardown();
+  check_no_stall_fallbacks(manager);
   return total / kReps;
 }
 
@@ -73,6 +74,7 @@ double sobel_rtt_shm() {
     if (i > 0) total += (session.now() - before).ms();
   }
   workload.teardown();
+  check_no_stall_fallbacks(rig);
   return total / kReps;
 }
 

@@ -51,6 +51,7 @@ ScenarioResult run_with_plane(bool use_shared_memory) {
   const vt::Time from = vt::Time::seconds(4);
   const vt::Time to = from + vt::Duration::seconds(15);
   out.aggregate_utilization_pct = bed.aggregate_utilization_pct(from, to);
+  check_no_stall_fallbacks(bed);
   return out;
 }
 

@@ -78,6 +78,7 @@ RecoveryResult run_with(const Config& config) {
       }
     }
   }
+  check_no_stall_fallbacks(bed);
   bed.gateway().shutdown_instances();
   out.mean_latency_ms =
       out.ok > 0 ? latency_sum_ms / static_cast<double>(out.ok) : 0.0;

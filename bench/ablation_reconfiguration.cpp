@@ -75,5 +75,6 @@ int main() {
   auto mm_device = bed.registry().device_of_instance("mm-1-0");
   std::printf("  mm-1 allocated to: %s\n",
               mm_device ? mm_device->c_str() : "(none)");
+  check_no_stall_fallbacks(bed);
   return 0;
 }

@@ -84,6 +84,7 @@ Outcome run_mixed(unsigned pr_regions) {
     count += static_cast<double>(r.ok);
   }
   out.latency_ms = count > 0 ? weighted / count : 0.0;
+  check_no_stall_fallbacks(bed);
   return out;
 }
 

@@ -60,6 +60,7 @@ double measure(bool flush_per_op, int reps) {
                    out.value(), kernel.value(), flush_per_op);
     if (i > 0) total += ms;
   }
+  check_no_stall_fallbacks(rig);
   return total / reps;
 }
 

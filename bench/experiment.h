@@ -54,6 +54,28 @@ inline std::vector<LoadConfig> alexnet_configs() {
           {"High Load", {9, 9, 6, 6, 3}}};
 }
 
+// ---- Gate liveness -------------------------------------------------------------
+
+// A stall fallback (docs/VIRTUAL_TIME.md) is the conservative gate's
+// liveness escape, never part of a reproduced result: every bench checks,
+// before teardown, that no Device Manager took one. Silent on success, so
+// stdout is unchanged.
+inline void check_no_stall_fallbacks(const devmgr::DeviceManager& manager) {
+  const std::uint64_t fallbacks = manager.stall_fallbacks();
+  if (fallbacks != 0) {
+    std::fprintf(stderr, "%s: %llu gate stall fallbacks\n",
+                 manager.id().c_str(),
+                 static_cast<unsigned long long>(fallbacks));
+  }
+  BF_CHECK(fallbacks == 0);
+}
+
+inline void check_no_stall_fallbacks(testbed::Testbed& bed) {
+  for (const std::string& node : bed.node_names()) {
+    check_no_stall_fallbacks(bed.manager(node));
+  }
+}
+
 // ---- Multi-function sharing experiment (Tables II-IV) ------------------------
 
 struct FunctionRow {
@@ -188,6 +210,7 @@ inline ScenarioResult run_sharing_cell(bool blastfunction,
   out.aggregate_latency_ms = total_ok > 0 ? weighted_latency / total_ok : 0.0;
   out.aggregate_latency_p99_ms =
       all_latency.empty() ? 0.0 : all_latency.percentile(0.99);
+  check_no_stall_fallbacks(bed);
   return out;
 }
 
@@ -270,6 +293,10 @@ class OverheadRig {
   [[nodiscard]] ocl::Runtime& runtime() { return *runtime_; }
   [[nodiscard]] sim::Board& board() { return *board_; }
   [[nodiscard]] DataPath path() const { return path_; }
+  // Null on the native path.
+  [[nodiscard]] const devmgr::DeviceManager* manager() const {
+    return manager_.get();
+  }
 
  private:
   DataPath path_;
@@ -278,6 +305,11 @@ class OverheadRig {
   std::unique_ptr<devmgr::DeviceManager> manager_;
   std::unique_ptr<ocl::Runtime> runtime_;
 };
+
+// The native path has no Device Manager, so nothing to check.
+inline void check_no_stall_fallbacks(const OverheadRig& rig) {
+  if (rig.manager() != nullptr) check_no_stall_fallbacks(*rig.manager());
+}
 
 inline std::string human_size(std::uint64_t bytes) {
   char buf[32];

@@ -79,6 +79,8 @@ int main() {
     const double native_ms = rw_rtt_ms(native, half, reps);
     const double grpc_ms = rw_rtt_ms(grpc, half, reps);
     const double shm_ms = rw_rtt_ms(shm, half, reps);
+    check_no_stall_fallbacks(grpc);
+    check_no_stall_fallbacks(shm);
     last_ratio = grpc_ms / native_ms;
     last_shm_delta = shm_ms - native_ms;
     std::printf("%-8s | %12.3f | %16.3f | %18.3f | %7.2fx | %6.1f ms\n",

@@ -61,6 +61,8 @@ int main() {
     const double native_ms = sobel_rtt_ms(native, width, height, 4);
     const double grpc_ms = sobel_rtt_ms(grpc, width, height, 4);
     const double shm_ms = sobel_rtt_ms(shm, width, height, 4);
+    check_no_stall_fallbacks(grpc);
+    check_no_stall_fallbacks(shm);
     if (width == 10) native_small = native_ms;
     if (width == 1920) {
       native_large = native_ms;

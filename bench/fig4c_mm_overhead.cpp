@@ -57,6 +57,8 @@ int main() {
     const double native_ms = mm_rtt_ms(native, n, reps);
     const double grpc_ms = mm_rtt_ms(grpc, n, reps);
     const double shm_ms = mm_rtt_ms(shm, n, reps);
+    check_no_stall_fallbacks(grpc);
+    check_no_stall_fallbacks(shm);
     if (n == 16) native_small = native_ms;
     if (n == 4096) {
       native_large = native_ms;

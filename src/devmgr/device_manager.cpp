@@ -122,6 +122,8 @@ DeviceManager::DeviceManager(DeviceManagerConfig config, sim::Board* board,
       metrics_.counter("bf_devmgr_health_probes_total", labels);
   tasks_cancelled_counter_ =
       metrics_.counter("bf_devmgr_tasks_cancelled_total", labels);
+  stall_fallbacks_counter_ =
+      metrics_.counter("bf_gate_stall_fallbacks_total", labels);
 
   endpoint_.gate().set_stall_grace(config_.gate_stall_grace);
   endpoint_.set_handler([this](std::shared_ptr<net::Connection> connection) {
@@ -227,6 +229,10 @@ Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
 std::uint64_t DeviceManager::tasks_cancelled() const {
   std::lock_guard lock(state_mutex_);
   return tasks_cancelled_;
+}
+
+std::uint64_t DeviceManager::stall_fallbacks() const {
+  return static_cast<std::uint64_t>(stall_fallbacks_counter_->value());
 }
 
 std::string DeviceManager::segment_name(std::uint64_t session_id) const {
@@ -692,6 +698,9 @@ void DeviceManager::worker_loop() {
   for (;;) {
     PopResult next = scheduler_->pop_next_safe(endpoint_.gate());
     if (!next.task.has_value()) break;  // closed and drained
+    if (next.reason == PopReason::kStallFallback) {
+      stall_fallbacks_counter_->increment();
+    }
     if (config_.record_execution_journal) {
       std::lock_guard lock(state_mutex_);
       journal_.push_back(ExecutionRecord{next.task->ready, next.task->seq,

@@ -130,6 +130,11 @@ class DeviceManager {
   // Queued-but-unexecuted tasks discarded because their client vanished.
   [[nodiscard]] std::uint64_t tasks_cancelled() const;
 
+  // Pops that went ahead on the gate's real-time stall-breaker instead of a
+  // safe bound (PopReason::kStallFallback; bf_gate_stall_fallbacks_total).
+  // Zero in every reproduced figure and table.
+  [[nodiscard]] std::uint64_t stall_fallbacks() const;
+
   // Derives the shared segment name for a session (same formula the remote
   // library uses to open it).
   [[nodiscard]] std::string segment_name(std::uint64_t session_id) const;
@@ -244,6 +249,7 @@ class DeviceManager {
   std::shared_ptr<metrics::Gauge> queue_depth_gauge_;
   std::shared_ptr<metrics::Counter> health_probes_counter_;
   std::shared_ptr<metrics::Counter> tasks_cancelled_counter_;
+  std::shared_ptr<metrics::Counter> stall_fallbacks_counter_;
 };
 
 }  // namespace bf::devmgr

@@ -127,6 +127,16 @@ Status FunctionInstance::warm() {
   return cold_start_locked();
 }
 
+void FunctionInstance::park() {
+  std::lock_guard lock(mutex_);
+  if (context_ != nullptr) context_->announce_idle(vt::Time::infinite());
+}
+
+void FunctionInstance::unpark() {
+  std::lock_guard lock(mutex_);
+  if (context_ != nullptr) context_->announce_idle(session_.now());
+}
+
 void FunctionInstance::advance_clock_to(vt::Time t) {
   std::lock_guard lock(mutex_);
   session_.clock().advance_to(t);

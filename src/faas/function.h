@@ -88,8 +88,19 @@ class FunctionInstance {
   // request. No-op when already warm or in fork-per-request mode. Warming
   // sequentially before driving load makes every tenant's device-manager
   // session (and gate registration) exist up front, so cross-tenant task
-  // order never depends on which driver thread connected first.
+  // order never depends on which driver thread connected first. Must not
+  // run concurrently with load on the same gateway: a warm parks the
+  // gateway's other warm instances (Gateway::warm).
   Status warm();
+
+  // Parking (Gateway::warm only): the caller promises that this instance
+  // issues nothing until unpark(), so its context publishes an infinite
+  // gate bound and a co-tenant's cold start never waits on this instance's
+  // idle cursor. No-op while the instance holds no persistent context
+  // (cold, or fork-per-request).
+  void park();
+  // Ends parking: re-announces the instance's own clock as its bound.
+  void unpark();
 
   // Tears down the OpenCL context (end of experiment / pod deletion) so the
   // device manager's gate no longer waits on this tenant.

@@ -18,6 +18,27 @@ bool is_invoke_retryable(ErrorCode code) {
          code == ErrorCode::kAborted;
 }
 
+// Gateway::warm's parking scope: parks the warm instances it is given and
+// unparks all of them, in parking order, when the warm returns.
+class ParkedInstances {
+ public:
+  ParkedInstances() = default;
+  ParkedInstances(const ParkedInstances&) = delete;
+  ParkedInstances& operator=(const ParkedInstances&) = delete;
+  ~ParkedInstances() {
+    for (const auto& instance : parked_) instance->unpark();
+  }
+
+  void park(const std::shared_ptr<FunctionInstance>& instance) {
+    if (instance->cold()) return;  // no session to park
+    instance->park();
+    parked_.push_back(instance);
+  }
+
+ private:
+  std::vector<std::shared_ptr<FunctionInstance>> parked_;
+};
+
 }  // namespace
 
 Gateway::Gateway(cluster::Cluster* cluster, BindingResolver resolver,
@@ -207,8 +228,19 @@ std::size_t Gateway::instance_count() const {
 }
 
 Status Gateway::warm(const std::string& function) {
-  for (const auto& instance : instances(function)) {
+  std::vector<std::shared_ptr<FunctionInstance>> all;
+  {
+    std::lock_guard lock(mutex_);
+    for (const auto& [pod_name, instance] : pods_) all.push_back(instance);
+  }
+  // Park every instance that is already warm, then each replica as soon as
+  // its own cold start is done.
+  ParkedInstances parked;
+  for (const auto& instance : all) parked.park(instance);
+  for (const auto& instance : all) {
+    if (instance->function() != function || !instance->cold()) continue;
     if (Status s = instance->warm(); !s.ok()) return s;
+    parked.park(instance);
   }
   return Status::Ok();
 }

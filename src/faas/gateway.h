@@ -73,6 +73,14 @@ class Gateway {
   // (FunctionInstance::warm). Called sequentially before driving load it
   // makes session/gate registration order deterministic instead of a race
   // between driver threads. Returns the first failure.
+  //
+  // For the duration of the call every other warm instance of this gateway
+  // (and each replica once it is warm) is parked, so a cold start whose
+  // set-up calls are stamped past an idle co-tenant's cursor never waits
+  // out the gate's stall grace. Every parked instance re-announces its own
+  // clock before warm returns. Contract: warm must not run concurrently
+  // with invokes or load drivers on the same gateway — a parked instance
+  // has promised to send nothing.
   Status warm(const std::string& function);
 
   // Destroys every instance's OpenCL context (end of experiment).

@@ -104,6 +104,13 @@ class Context {
 
   // clCreateCommandQueue (in-order).
   virtual Result<std::unique_ptr<CommandQueue>> create_queue() = 0;
+
+  // Virtual-time promise for a context the application leaves idle: no
+  // call on it will be stamped earlier than `bound` until its next call or
+  // announce. Time::infinite() parks it (docs/VIRTUAL_TIME.md, "Parked
+  // sessions"). Remote contexts forward it to their Device Manager's gate;
+  // contexts without a gate ignore it.
+  virtual void announce_idle(vt::Time bound) { (void)bound; }
 };
 
 class Runtime {

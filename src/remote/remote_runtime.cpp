@@ -234,6 +234,10 @@ class RemoteContext final : public ocl::Context {
 
   Result<std::unique_ptr<ocl::CommandQueue>> create_queue() override;
 
+  void announce_idle(vt::Time bound) override {
+    connection_->announce(bound);
+  }
+
   // --- used by RemoteQueue ----------------------------------------------------
 
   [[nodiscard]] net::Connection& connection() { return *connection_; }

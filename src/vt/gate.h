@@ -88,7 +88,10 @@ class Gate {
   // is genuinely idle (e.g. two sessions driven by one application thread)
   // would otherwise deadlock the consumer; a real (non-virtual-time) system
   // simply executes in arrival order in that situation, which is what the
-  // fallback reproduces. Active closed-loop producers never trip it.
+  // fallback reproduces. A producer that keeps sending never trips it, but
+  // an idle one does, since its bound stays at its last announce; callers
+  // that know a session will stay idle announce Time::infinite() for it
+  // instead (docs/VIRTUAL_TIME.md, "Parked sessions").
   //
   // When `fallback` is non-null it is set to true iff the wait proceeded
   // via the stall-breaker rather than a genuinely safe bound — consumers

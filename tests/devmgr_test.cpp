@@ -251,6 +251,31 @@ TEST(DeviceManager, UtilizationAndClientAttribution) {
             rig.board->busy_between(vt::Time::zero(), horizon).ns());
 }
 
+TEST(DeviceManager, CountsEachStallFallbackPop) {
+  Rig rig;  // 50 ms stall grace
+  ocl::Session session("t");
+  auto context = rig.make_context(session);
+  ASSERT_TRUE(context->program(sim::BitstreamLibrary::kVadd).ok());
+  auto buffer = context->create_buffer(1024);
+  ASSERT_TRUE(buffer.ok());
+  auto queue = context->create_queue();
+  ASSERT_TRUE(queue.ok());
+  EXPECT_EQ(rig.manager->stall_fallbacks(), 0u);
+  // A producer that registers and never announces pins the gate at t=0, so
+  // the one task stamped later can only run via the stall-breaker.
+  vt::Gate::Source idle =
+      rig.manager->endpoint().gate().register_source(vt::Time::zero());
+  Bytes data(1024);
+  ASSERT_TRUE(
+      queue.value()->enqueue_write(buffer.value(), 0, ByteSpan{data}, true).ok());
+  EXPECT_EQ(rig.manager->stall_fallbacks(), 1u);
+  EXPECT_NE(rig.manager->metrics().expose().find(
+                "bf_gate_stall_fallbacks_total{device=\"fpga-b\","
+                "manager=\"devmgr-b\"} 1"),
+            std::string::npos)
+      << rig.manager->metrics().expose();
+}
+
 TEST(DeviceManager, SegmentNameIsDeterministic) {
   Rig rig;
   EXPECT_EQ(rig.manager->segment_name(3), "devmgr-b:sess:3");
