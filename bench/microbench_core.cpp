@@ -10,6 +10,7 @@
 #include "fault/injector.h"
 #include "net/endpoint.h"
 #include "proto/messages.h"
+#include "proto/wire.h"
 #include "shm/segment.h"
 #include "sim/board.h"
 #include "sim/kernels.h"

@@ -6,7 +6,7 @@
 #include "common/log.h"
 #include "fault/injector.h"
 #include "native/native_runtime.h"
-#include "proto/wire.h"
+#include "proto/messages.h"
 #include "sim/bitstream.h"
 #include "sim/kernels.h"
 #include "trace/span.h"
@@ -25,19 +25,6 @@ proto::DeviceDescriptor describe(const sim::Board& board) {
   descriptor.accelerator = info.accelerator;
   descriptor.global_memory_bytes = info.global_memory_bytes;
   return descriptor;
-}
-
-template <typename T>
-Bytes encode(const T& message) {
-  proto::Writer writer;
-  message.encode(writer);
-  return writer.take();
-}
-
-template <typename T>
-Result<T> decode(const net::Frame& frame) {
-  proto::Reader reader(ByteSpan{frame.payload});
-  return T::decode(reader);
 }
 
 // Free list for per-task op vectors: sealing hands the vector (and each op's
@@ -252,15 +239,16 @@ void DeviceManager::serve_connection(
         proto::AckResp resp;
         resp.status = proto::StatusMsg::from(
             FailedPrecondition("session not opened"));
-        connection->reply(*frame, encode(resp),
+        connection->reply(*frame, proto::encode(resp),
                           frame->arrival_time + config_.sync_handling);
         continue;
       }
-      auto request = decode<proto::OpenSessionReq>(*frame);
+      auto request =
+          proto::decode<proto::OpenSessionReq>(ByteSpan{frame->payload});
       proto::OpenSessionResp resp;
       if (!request.ok()) {
         resp.status = proto::StatusMsg::from(request.status());
-        connection->reply(*frame, encode(resp),
+        connection->reply(*frame, proto::encode(resp),
                           frame->arrival_time + config_.sync_handling);
         continue;
       }
@@ -296,7 +284,7 @@ void DeviceManager::serve_connection(
       resp.session_id = session_id;
       resp.shared_memory_granted = shm_granted;
       resp.device = describe(*board_);
-      connection->reply(*frame, encode(resp),
+      connection->reply(*frame, proto::encode(resp),
                         frame->arrival_time + config_.sync_handling);
       continue;
     }
@@ -319,7 +307,7 @@ void DeviceManager::serve_connection(
         }
       }
       resp.device = describe(*board_);
-      connection->reply(*frame, encode(resp),
+      connection->reply(*frame, proto::encode(resp),
                         frame->arrival_time + config_.sync_handling);
       continue;
     }
@@ -365,15 +353,15 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       resp.session_id = session.id;
       resp.shared_memory_granted = session.segment != nullptr;
       resp.device = describe(*board_);
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     case proto::Method::kProgram: {
-      auto request = decode<proto::ProgramReq>(frame);
+      auto request = proto::decode<proto::ProgramReq>(ByteSpan{frame.payload});
       proto::ProgramResp resp;
       if (!request.ok()) {
         resp.status = proto::StatusMsg::from(request.status());
-        connection->reply(frame, encode(resp), at);
+        connection->reply(frame, proto::encode(resp), at);
         return;
       }
       const sim::Bitstream* bitstream =
@@ -381,14 +369,14 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       if (bitstream == nullptr) {
         resp.status = proto::StatusMsg::from(NotFound(
             "unknown bitstream '" + request.value().bitstream_id + "'"));
-        connection->reply(frame, encode(resp), at);
+        connection->reply(frame, proto::encode(resp), at);
         return;
       }
       const auto resident = board_->resident_accelerators();
       if (std::find(resident.begin(), resident.end(),
                     bitstream->accelerator) != resident.end()) {
         resp.reconfigured = false;  // already resident (region or full image)
-        connection->reply(frame, encode(resp), at);
+        connection->reply(frame, proto::encode(resp), at);
         return;
       }
       Task task;
@@ -412,11 +400,12 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       auto [status, end] = waiter->wait();
       resp.status = proto::StatusMsg::from(status);
       resp.reconfigured = status.ok();
-      connection->reply(frame, encode(resp), vt::max(end, at));
+      connection->reply(frame, proto::encode(resp), vt::max(end, at));
       return;
     }
     case proto::Method::kCreateBuffer: {
-      auto request = decode<proto::CreateBufferReq>(frame);
+      auto request =
+          proto::decode<proto::CreateBufferReq>(ByteSpan{frame.payload});
       proto::CreateBufferResp resp;
       if (!request.ok()) {
         resp.status = proto::StatusMsg::from(request.status());
@@ -430,11 +419,12 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
           resp.buffer_id = id;
         }
       }
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     case proto::Method::kReleaseBuffer: {
-      auto request = decode<proto::ReleaseBufferReq>(frame);
+      auto request =
+          proto::decode<proto::ReleaseBufferReq>(ByteSpan{frame.payload});
       proto::AckResp resp;
       if (!request.ok()) {
         resp.status = proto::StatusMsg::from(request.status());
@@ -450,11 +440,12 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
           resp.status = proto::StatusMsg::from(released);
         }
       }
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     case proto::Method::kCreateKernel: {
-      auto request = decode<proto::CreateKernelReq>(frame);
+      auto request =
+          proto::decode<proto::CreateKernelReq>(ByteSpan{frame.payload});
       proto::CreateKernelResp resp;
       if (!request.ok()) {
         resp.status = proto::StatusMsg::from(request.status());
@@ -470,7 +461,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
         resp.kernel_id = id;
         resp.arity = model->arity();
       }
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     case proto::Method::kCreateQueue: {
@@ -478,12 +469,12 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       const std::uint64_t id = session.next_queue_id++;
       session.queues[id] = true;
       resp.queue_id = id;
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     case proto::Method::kReleaseQueue: {
       proto::AckResp resp;
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     case proto::Method::kHealthCheck: {
@@ -494,7 +485,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       resp.accepting = !shutdown_.load();
       health_probes_counter_->increment();
       queue_depth_gauge_->set(static_cast<double>(resp.queue_depth));
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
     default: {
@@ -502,7 +493,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       resp.status = proto::StatusMsg::from(
           Unimplemented(std::string("method ") +
                         std::string(proto::to_string(frame.method))));
-      connection->reply(frame, encode(resp), at);
+      connection->reply(frame, proto::encode(resp), at);
       return;
     }
   }
@@ -520,7 +511,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
     proto::OpEnqueued ack;
     ack.op_id = op_id;
     if (Status sent = connection->notify(proto::Method::kOpEnqueued, op_id,
-                                         encode(ack), at);
+                                         proto::encode(ack), at);
         !sent.ok()) {
       // Client already gone: its events will be poisoned by the connection
       // loss, not by this ack, so the drop is benign but worth a trace.
@@ -531,7 +522,8 @@ void DeviceManager::handle_command(std::uint64_t session_id,
 
   switch (frame.method) {
     case proto::Method::kEnqueueWrite: {
-      auto request = decode<proto::EnqueueWriteReq>(frame);
+      auto request =
+          proto::decode<proto::EnqueueWriteReq>(ByteSpan{frame.payload});
       if (!request.ok()) return;
       Operation op;
       op.kind = Operation::Kind::kWrite;
@@ -548,7 +540,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
       return;
     }
     case proto::Method::kWriteData: {
-      auto request = decode<proto::WriteData>(frame);
+      auto request = proto::decode<proto::WriteData>(ByteSpan{frame.payload});
       if (!request.ok()) return;
       // Find the pending write op (BUFFER phase of its state machine).
       for (auto& [queue_id, task] : session.building) {
@@ -568,7 +560,8 @@ void DeviceManager::handle_command(std::uint64_t session_id,
       return;
     }
     case proto::Method::kEnqueueRead: {
-      auto request = decode<proto::EnqueueReadReq>(frame);
+      auto request =
+          proto::decode<proto::EnqueueReadReq>(ByteSpan{frame.payload});
       if (!request.ok()) return;
       Operation op;
       op.kind = Operation::Kind::kRead;
@@ -586,7 +579,8 @@ void DeviceManager::handle_command(std::uint64_t session_id,
       return;
     }
     case proto::Method::kEnqueueKernel: {
-      auto request = decode<proto::EnqueueKernelReq>(frame);
+      auto request =
+          proto::decode<proto::EnqueueKernelReq>(ByteSpan{frame.payload});
       if (!request.ok()) return;
       Operation op;
       op.kind = Operation::Kind::kKernel;
@@ -603,7 +597,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
       return;
     }
     case proto::Method::kFlush: {
-      auto request = decode<proto::FlushReq>(frame);
+      auto request = proto::decode<proto::FlushReq>(ByteSpan{frame.payload});
       if (!request.ok()) return;
       const vt::Time deadline = request.value().deadline_ns != 0
                                     ? vt::Time::nanos(static_cast<std::int64_t>(
@@ -613,7 +607,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
       return;
     }
     case proto::Method::kFinish: {
-      auto request = decode<proto::FinishReq>(frame);
+      auto request = proto::decode<proto::FinishReq>(ByteSpan{frame.payload});
       if (!request.ok()) return;
       Operation marker;
       marker.kind = Operation::Kind::kFinish;
@@ -681,7 +675,8 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
       completion.status = proto::StatusMsg::from(pushed);
       if (session.connection != nullptr && !session.connection->closed()) {
         if (Status sent = session.connection->notify(
-                proto::Method::kOpComplete, op_id, encode(completion), ready);
+                proto::Method::kOpComplete, op_id, proto::encode(completion),
+                ready);
             !sent.ok()) {
           BF_LOG_WARN("devmgr")
               << config_.id << ": rejection notice for op " << op_id
@@ -1171,10 +1166,10 @@ void DeviceManager::stage_completion(CompletionBatch& batch,
   if (batch.connection == nullptr) return;
   net::Completion staged;
   staged.correlation = op_id;
-  staged.payload = encode(completion);
+  staged.payload = proto::encode(completion);
   staged.server_time = at;
-  // encode() copied the read payload into the frame; its buffer goes back
-  // to the pool instead of the heap.
+  // proto::encode() copied the read payload into the frame; its buffer goes
+  // back to the pool instead of the heap.
   if (completion.data.is_heap()) {
     arena::recycle(std::move(completion.data));
   }

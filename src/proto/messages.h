@@ -21,7 +21,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "proto/wire.h"
 
 namespace bf::proto {
 
@@ -65,8 +64,6 @@ struct StatusMsg {
 
   static StatusMsg from(const Status& status);
   [[nodiscard]] Status to_status() const;
-  void encode(Writer& writer) const;
-  static Result<StatusMsg> decode(Reader& reader);
 };
 
 struct DeviceDescriptor {
@@ -77,9 +74,6 @@ struct DeviceDescriptor {
   std::string node;
   std::string accelerator;
   std::uint64_t global_memory_bytes = 0;
-
-  void encode(Writer& writer) const;
-  static Result<DeviceDescriptor> decode(Reader& reader);
 };
 
 struct KernelArgMsg {
@@ -88,9 +82,6 @@ struct KernelArgMsg {
   std::uint64_t buffer_id = 0;
   std::int64_t int_value = 0;
   double double_value = 0.0;
-
-  void encode(Writer& writer) const;
-  static Result<KernelArgMsg> decode(Reader& reader);
 };
 
 // --- Context & information methods -------------------------------------------
@@ -98,9 +89,6 @@ struct KernelArgMsg {
 struct OpenSessionReq {
   std::string client_id;
   bool use_shared_memory = false;
-
-  void encode(Writer& writer) const;
-  static Result<OpenSessionReq> decode(Reader& reader);
 };
 
 struct OpenSessionResp {
@@ -108,78 +96,48 @@ struct OpenSessionResp {
   std::uint64_t session_id = 0;
   bool shared_memory_granted = false;
   DeviceDescriptor device;
-
-  void encode(Writer& writer) const;
-  static Result<OpenSessionResp> decode(Reader& reader);
 };
 
 struct ProgramReq {
   std::string bitstream_id;
-
-  void encode(Writer& writer) const;
-  static Result<ProgramReq> decode(Reader& reader);
 };
 
 struct ProgramResp {
   StatusMsg status;
   bool reconfigured = false;
-
-  void encode(Writer& writer) const;
-  static Result<ProgramResp> decode(Reader& reader);
 };
 
 struct CreateBufferReq {
   std::uint64_t size = 0;
-
-  void encode(Writer& writer) const;
-  static Result<CreateBufferReq> decode(Reader& reader);
 };
 
 struct CreateBufferResp {
   StatusMsg status;
   std::uint64_t buffer_id = 0;
-
-  void encode(Writer& writer) const;
-  static Result<CreateBufferResp> decode(Reader& reader);
 };
 
 struct ReleaseBufferReq {
   std::uint64_t buffer_id = 0;
-
-  void encode(Writer& writer) const;
-  static Result<ReleaseBufferReq> decode(Reader& reader);
 };
 
 struct CreateKernelReq {
   std::string name;
-
-  void encode(Writer& writer) const;
-  static Result<CreateKernelReq> decode(Reader& reader);
 };
 
 struct CreateKernelResp {
   StatusMsg status;
   std::uint64_t kernel_id = 0;
   std::uint64_t arity = 0;
-
-  void encode(Writer& writer) const;
-  static Result<CreateKernelResp> decode(Reader& reader);
 };
 
 struct CreateQueueResp {
   StatusMsg status;
   std::uint64_t queue_id = 0;
-
-  void encode(Writer& writer) const;
-  static Result<CreateQueueResp> decode(Reader& reader);
 };
 
 // Generic status-only response (release buffer/queue, flush ack, ...).
 struct AckResp {
   StatusMsg status;
-
-  void encode(Writer& writer) const;
-  static Result<AckResp> decode(Reader& reader);
 };
 
 // Liveness + load probe (request body is empty). The registry's gatherer
@@ -191,9 +149,6 @@ struct HealthResp {
   std::uint64_t sessions = 0;       // open client sessions
   std::uint64_t ops_executed = 0;   // lifetime completed operations
   bool accepting = true;
-
-  void encode(Writer& writer) const;
-  static Result<HealthResp> decode(Reader& reader);
 };
 
 // --- Command-queue methods ----------------------------------------------------
@@ -210,9 +165,6 @@ struct EnqueueWriteReq {
   // messages are byte-identical to pre-tracing builds).
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
-
-  void encode(Writer& writer) const;
-  static Result<EnqueueWriteReq> decode(Reader& reader);
 };
 
 // BUFFER phase of a write. Exactly one of `data` (gRPC path, bytes inline)
@@ -228,9 +180,6 @@ struct WriteData {
   // caller must keep the viewed buffer alive across encode(). decode()
   // always fills `data`.
   ByteSpan data_view;
-
-  void encode(Writer& writer) const;
-  static Result<WriteData> decode(Reader& reader);
 };
 
 struct EnqueueReadReq {
@@ -243,9 +192,6 @@ struct EnqueueReadReq {
   std::vector<std::uint64_t> wait_op_ids;
   std::uint64_t trace_id = 0;     // see EnqueueWriteReq
   std::uint64_t parent_span = 0;
-
-  void encode(Writer& writer) const;
-  static Result<EnqueueReadReq> decode(Reader& reader);
 };
 
 struct EnqueueKernelReq {
@@ -257,9 +203,6 @@ struct EnqueueKernelReq {
   std::vector<std::uint64_t> wait_op_ids;
   std::uint64_t trace_id = 0;     // see EnqueueWriteReq
   std::uint64_t parent_span = 0;
-
-  void encode(Writer& writer) const;
-  static Result<EnqueueKernelReq> decode(Reader& reader);
 };
 
 struct FlushReq {
@@ -268,9 +211,6 @@ struct FlushReq {
   // derived from its CallOptions timeout; 0 = none. Only the kDeadline
   // scheduling policy consults it.
   std::uint64_t deadline_ns = 0;
-
-  void encode(Writer& writer) const;
-  static Result<FlushReq> decode(Reader& reader);
 };
 
 // Finish = flush + completion notification carrying this op_id.
@@ -278,18 +218,12 @@ struct FinishReq {
   std::uint64_t op_id = 0;
   std::uint64_t queue_id = 0;
   std::uint64_t deadline_ns = 0;  // as FlushReq::deadline_ns
-
-  void encode(Writer& writer) const;
-  static Result<FinishReq> decode(Reader& reader);
 };
 
 // --- Server -> client notifications ------------------------------------------
 
 struct OpEnqueued {
   std::uint64_t op_id = 0;
-
-  void encode(Writer& writer) const;
-  static Result<OpEnqueued> decode(Reader& reader);
 };
 
 struct OpComplete {
@@ -303,22 +237,33 @@ struct OpComplete {
   // payload buffer, so it is valid only while that buffer lives. encode()
   // serializes it when non-empty (same contract as WriteData::data_view).
   ByteSpan data_view;
-
-  void encode(Writer& writer) const;
-  static Result<OpComplete> decode(Reader& reader);
-  // Zero-copy decode: identical to decode() except the payload field lands
-  // in `data_view` rather than being copied into `data`. Do not use with
-  // reencode() or any reader whose buffer dies before the message.
-  static Result<OpComplete> decode_view(Reader& reader);
 };
+
+// --- Codec -------------------------------------------------------------------
+//
+// Each message's fields are declared once, in its field list in
+// messages.cpp; encode and decode are derived from that list and
+// instantiated there for every message type above.
+
+// The message's wire encoding, fields in ascending field-number order.
+template <typename T>
+Bytes encode(const T& message);
+
+// Decodes a T. Unknown field numbers are skipped; a truncated field or a
+// known field with the wrong wire type fails with InvalidArgument.
+template <typename T>
+Result<T> decode(ByteSpan bytes);
+
+// Zero-copy decode: identical to decode<OpComplete>() except the payload
+// field lands in `data_view`, a view into `bytes`, rather than being copied
+// into `data`. Do not use when `bytes` dies before the message.
+Result<OpComplete> decode_view(ByteSpan bytes);
 
 // Round-trips any message type through its wire encoding (test helper).
 template <typename T>
 Result<T> reencode(const T& message) {
-  Writer writer;
-  message.encode(writer);
-  Reader reader(ByteSpan{writer.bytes()});
-  return T::decode(reader);
+  const Bytes bytes = encode(message);
+  return decode<T>(ByteSpan{bytes});
 }
 
 }  // namespace bf::proto

@@ -5,6 +5,12 @@
 #include "common/arena.h"
 
 namespace bf::proto {
+namespace {
+
+// Largest field number protobuf allows.
+constexpr std::uint64_t kMaxFieldNumber = (1ULL << 29) - 1;
+
+}  // namespace
 
 void Writer::reserve(std::size_t capacity) {
   if (capacity <= buffer_.capacity()) return;
@@ -83,8 +89,15 @@ void Writer::field_bytes(std::uint32_t field, ByteSpan value) {
 Result<Reader::FieldHeader> Reader::next_field() {
   auto header = read_varint();
   if (!header.ok()) return header.status();
+  // Range-check before narrowing, so a huge number cannot alias a small one.
+  const std::uint64_t field = header.value() >> 3;
+  if (field == 0) return InvalidArgument("field number 0 is invalid");
+  if (field > kMaxFieldNumber) {
+    return InvalidArgument("field number " + std::to_string(field) +
+                           " is above the protobuf maximum");
+  }
   FieldHeader out;
-  out.field = static_cast<std::uint32_t>(header.value() >> 3);
+  out.field = static_cast<std::uint32_t>(field);
   const auto type = static_cast<std::uint8_t>(header.value() & 0x7U);
   switch (type) {
     case 0: out.type = WireType::kVarint; break;
@@ -94,7 +107,6 @@ Result<Reader::FieldHeader> Reader::next_field() {
     default:
       return InvalidArgument("unsupported wire type " + std::to_string(type));
   }
-  if (out.field == 0) return InvalidArgument("field number 0 is invalid");
   return out;
 }
 
@@ -130,9 +142,9 @@ Result<double> Reader::read_double() {
 }
 
 Result<std::string> Reader::read_string() {
-  auto raw = read_bytes();
-  if (!raw.ok()) return raw.status();
-  return std::string(raw.value().begin(), raw.value().end());
+  auto view = read_bytes_view();
+  if (!view.ok()) return view.status();
+  return std::string(view.value().begin(), view.value().end());
 }
 
 Result<Bytes> Reader::read_bytes() {
@@ -176,7 +188,7 @@ Status Reader::skip(WireType type) {
       return Status::Ok();
     }
     case WireType::kLengthDelimited: {
-      auto value = read_bytes();
+      auto value = read_bytes_view();
       return value.ok() ? Status::Ok() : value.status();
     }
   }

@@ -57,8 +57,8 @@ class Reader {
   [[nodiscard]] bool at_end() const { return pos_ >= data_.size(); }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
-  // Reads the next field header. Returns false at end of input; errors throw
-  // are reported via the Status-returning accessors below.
+  // Reads the next field header. Fails on a truncated tag, an unsupported
+  // wire type, or a field number outside protobuf's [1, 2^29 - 1].
   struct FieldHeader {
     std::uint32_t field = 0;
     WireType type = WireType::kVarint;

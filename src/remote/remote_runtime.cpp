@@ -6,25 +6,12 @@
 #include "common/arena.h"
 #include "common/log.h"
 #include "fault/injector.h"
-#include "proto/wire.h"
+#include "proto/messages.h"
 #include "remote/event_state.h"
 #include "trace/span.h"
 
 namespace bf::remote {
 namespace {
-
-template <typename T>
-Bytes encode(const T& message) {
-  proto::Writer writer;
-  message.encode(writer);
-  return writer.take();
-}
-
-template <typename T>
-Result<T> decode_payload(const net::Frame& frame) {
-  proto::Reader reader(ByteSpan{frame.payload});
-  return T::decode(reader);
-}
 
 ocl::DeviceInfo to_device_info(const proto::DeviceDescriptor& descriptor) {
   ocl::DeviceInfo info;
@@ -192,9 +179,10 @@ class RemoteContext final : public ocl::Context {
   Status program(const std::string& bitstream_id) override {
     proto::ProgramReq request;
     request.bitstream_id = bitstream_id;
-    auto reply = unary(proto::Method::kProgram, encode(request));
+    auto reply = unary(proto::Method::kProgram, proto::encode(request));
     if (!reply.ok()) return reply.status();
-    auto resp = decode_payload<proto::ProgramResp>(reply.value());
+    auto resp =
+        proto::decode<proto::ProgramResp>(ByteSpan{reply.value().payload});
     if (!resp.ok()) return resp.status();
     if (resp.value().reconfigured) device_.accelerator = "";  // refreshed lazily
     return resp.value().status.to_status();
@@ -203,9 +191,10 @@ class RemoteContext final : public ocl::Context {
   Result<ocl::Buffer> create_buffer(std::uint64_t size) override {
     proto::CreateBufferReq request;
     request.size = size;
-    auto reply = unary(proto::Method::kCreateBuffer, encode(request));
+    auto reply = unary(proto::Method::kCreateBuffer, proto::encode(request));
     if (!reply.ok()) return reply.status();
-    auto resp = decode_payload<proto::CreateBufferResp>(reply.value());
+    auto resp =
+        proto::decode<proto::CreateBufferResp>(ByteSpan{reply.value().payload});
     if (!resp.ok()) return resp.status();
     if (Status s = resp.value().status.to_status(); !s.ok()) return s;
     return ocl::Buffer{resp.value().buffer_id, size};
@@ -214,9 +203,9 @@ class RemoteContext final : public ocl::Context {
   Status release_buffer(const ocl::Buffer& buffer) override {
     proto::ReleaseBufferReq request;
     request.buffer_id = buffer.id;
-    auto reply = unary(proto::Method::kReleaseBuffer, encode(request));
+    auto reply = unary(proto::Method::kReleaseBuffer, proto::encode(request));
     if (!reply.ok()) return reply.status();
-    auto resp = decode_payload<proto::AckResp>(reply.value());
+    auto resp = proto::decode<proto::AckResp>(ByteSpan{reply.value().payload});
     if (!resp.ok()) return resp.status();
     return resp.value().status.to_status();
   }
@@ -224,9 +213,10 @@ class RemoteContext final : public ocl::Context {
   Result<ocl::Kernel> create_kernel(const std::string& name) override {
     proto::CreateKernelReq request;
     request.name = name;
-    auto reply = unary(proto::Method::kCreateKernel, encode(request));
+    auto reply = unary(proto::Method::kCreateKernel, proto::encode(request));
     if (!reply.ok()) return reply.status();
-    auto resp = decode_payload<proto::CreateKernelResp>(reply.value());
+    auto resp =
+        proto::decode<proto::CreateKernelResp>(ByteSpan{reply.value().payload});
     if (!resp.ok()) return resp.status();
     if (Status s = resp.value().status.to_status(); !s.ok()) return s;
     return ocl::Kernel(resp.value().kernel_id, name, resp.value().arity);
@@ -384,7 +374,8 @@ class RemoteQueue final : public ocl::CommandQueue {
     request.trace_id = session.trace_context().trace_id;
     request.parent_span = session.trace_context().span_id;
     Status sent = context_->connection().send(
-        proto::Method::kEnqueueWrite, op_id, encode(request), session.clock());
+        proto::Method::kEnqueueWrite, op_id, proto::encode(request),
+        session.clock());
     if (!sent.ok()) return sent;
 
     // BUFFER: stage the payload. Shared memory when granted (one modeled
@@ -407,7 +398,7 @@ class RemoteQueue final : public ocl::CommandQueue {
       payload.data_view = data;
     }
     sent = context_->connection().send(proto::Method::kWriteData, op_id,
-                                       encode(payload), session.clock());
+                                       proto::encode(payload), session.clock());
     // The owned buffer was serialized into the frame (gRPC path) or moved
     // into the shm slot; whatever heap block is still here goes back to
     // the pool for the next request's payload.
@@ -448,7 +439,8 @@ class RemoteQueue final : public ocl::CommandQueue {
     request.trace_id = session.trace_context().trace_id;
     request.parent_span = session.trace_context().span_id;
     Status sent = context_->connection().send(
-        proto::Method::kEnqueueRead, op_id, encode(request), session.clock());
+        proto::Method::kEnqueueRead, op_id, proto::encode(request),
+        session.clock());
     if (!sent.ok()) return sent;
     dirty_ = true;
 
@@ -497,7 +489,7 @@ class RemoteQueue final : public ocl::CommandQueue {
       request.args.push_back(msg);
     }
     Status sent = context_->connection().send(
-        proto::Method::kEnqueueKernel, op_id, encode(request),
+        proto::Method::kEnqueueKernel, op_id, proto::encode(request),
         session.clock());
     if (!sent.ok()) return sent;
     dirty_ = true;
@@ -517,7 +509,7 @@ class RemoteQueue final : public ocl::CommandQueue {
     }
     Status sent =
         context_->connection().send(proto::Method::kFlush, /*correlation=*/0,
-                                    encode(request), session.clock());
+                                    proto::encode(request), session.clock());
     if (sent.ok()) dirty_ = false;
     return sent;
   }
@@ -537,7 +529,7 @@ class RemoteQueue final : public ocl::CommandQueue {
           context_->call_options().deadline_from(session.now()).ns());
     }
     Status sent = context_->connection().send(
-        proto::Method::kFinish, op_id, encode(request), session.clock());
+        proto::Method::kFinish, op_id, proto::encode(request), session.clock());
     if (!sent.ok()) return sent;
     dirty_ = false;  // Finish seals the task server-side
     return event->wait();
@@ -604,7 +596,8 @@ Status RemoteEvent::wait() {
 Result<std::unique_ptr<ocl::CommandQueue>> RemoteContext::create_queue() {
   auto reply = unary(proto::Method::kCreateQueue, Bytes{});
   if (!reply.ok()) return reply.status();
-  auto resp = decode_payload<proto::CreateQueueResp>(reply.value());
+  auto resp =
+      proto::decode<proto::CreateQueueResp>(ByteSpan{reply.value().payload});
   if (!resp.ok()) return resp.status();
   if (Status s = resp.value().status.to_status(); !s.ok()) return s;
   return std::unique_ptr<ocl::CommandQueue>(
@@ -637,7 +630,7 @@ void RemoteContext::pump_loop() {
 void RemoteContext::process_notification(const net::Frame& frame) {
   switch (frame.method) {
     case proto::Method::kOpEnqueued: {
-      auto note = decode_payload<proto::OpEnqueued>(frame);
+      auto note = proto::decode<proto::OpEnqueued>(ByteSpan{frame.payload});
       if (!note.ok()) break;
       auto event = peek_event(note.value().op_id);
       if (event != nullptr) {
@@ -653,8 +646,7 @@ void RemoteContext::process_notification(const net::Frame& frame) {
       // decode_view: the payload field stays a view into frame.payload
       // (alive for this whole call), so inline read data is copied exactly
       // once — wire buffer straight into the application buffer.
-      proto::Reader reader{ByteSpan{frame.payload}};
-      auto note = proto::OpComplete::decode_view(reader);
+      auto note = proto::decode_view(ByteSpan{frame.payload});
       if (!note.ok()) break;
       auto event = take_event(note.value().op_id);
       if (event == nullptr) break;  // stale/duplicate ack: already retired
@@ -765,16 +757,17 @@ Result<OpenedSession> open_session_with_retry(const ManagerAddress& manager,
     proto::OpenSessionReq request;
     request.client_id = session.client_id();
     request.use_shared_memory = use_shared_memory;
-    auto reply = connection.value()->call(proto::Method::kOpenSession,
-                                          encode(request), session.clock(),
-                                          per_call);
+    auto reply = connection.value()->call(
+        proto::Method::kOpenSession, proto::encode(request), session.clock(),
+        per_call);
     if (!reply.ok()) {
       connection.value()->close();
       last = reply.status();
       if (!is_retryable(last.code())) return last;
       continue;
     }
-    auto resp = decode_payload<proto::OpenSessionResp>(reply.value());
+    auto resp =
+        proto::decode<proto::OpenSessionResp>(ByteSpan{reply.value().payload});
     if (!resp.ok()) {
       connection.value()->close();
       return resp.status();

@@ -41,7 +41,6 @@
 #include "fault/injector.h"
 #include "net/endpoint.h"
 #include "proto/messages.h"
-#include "proto/wire.h"
 #include "remote/event_state.h"
 #include "remote/remote_runtime.h"
 #include "shm/namespace.h"
@@ -51,19 +50,6 @@
 
 namespace bf {
 namespace {
-
-template <typename T>
-Bytes encode(const T& message) {
-  proto::Writer writer;
-  message.encode(writer);
-  return writer.take();
-}
-
-template <typename T>
-Result<T> decode_payload(const net::Frame& frame) {
-  proto::Reader reader(ByteSpan{frame.payload});
-  return T::decode(reader);
-}
 
 // --- 1. primitives -----------------------------------------------------------
 
@@ -209,7 +195,8 @@ class EchoServer {
         continue;
       }
       proto::AckResp resp;
-      conn->reply(*frame, encode(resp), frame->arrival_time + reply_delay_);
+      conn->reply(*frame, proto::encode(resp),
+                  frame->arrival_time + reply_delay_);
     }
   }
 
@@ -355,10 +342,11 @@ TEST(DevmgrHealth, HealthCheckRpcAndDuplicateOpenSession) {
 
   proto::OpenSessionReq open;
   open.client_id = "probe-client";
-  auto open_reply =
-      conn.value()->call(proto::Method::kOpenSession, encode(open), cursor);
+  auto open_reply = conn.value()->call(proto::Method::kOpenSession,
+                                       proto::encode(open), cursor);
   ASSERT_TRUE(open_reply.ok()) << open_reply.status().to_string();
-  auto open_resp = decode_payload<proto::OpenSessionResp>(open_reply.value());
+  auto open_resp = proto::decode<proto::OpenSessionResp>(
+      ByteSpan{open_reply.value().payload});
   ASSERT_TRUE(open_resp.ok());
   ASSERT_TRUE(open_resp.value().status.to_status().ok());
   const std::uint64_t session_id = open_resp.value().session_id;
@@ -368,7 +356,8 @@ TEST(DevmgrHealth, HealthCheckRpcAndDuplicateOpenSession) {
   auto health_reply =
       conn.value()->call(proto::Method::kHealthCheck, Bytes{}, cursor);
   ASSERT_TRUE(health_reply.ok()) << health_reply.status().to_string();
-  auto health = decode_payload<proto::HealthResp>(health_reply.value());
+  auto health =
+      proto::decode<proto::HealthResp>(ByteSpan{health_reply.value().payload});
   ASSERT_TRUE(health.ok());
   EXPECT_TRUE(health.value().status.to_status().ok());
   EXPECT_TRUE(health.value().accepting);
@@ -376,10 +365,11 @@ TEST(DevmgrHealth, HealthCheckRpcAndDuplicateOpenSession) {
 
   // Duplicate OpenSession on the same connection re-acks the existing
   // session (this is what makes OpenSession idempotent, and so retryable).
-  auto dup_reply =
-      conn.value()->call(proto::Method::kOpenSession, encode(open), cursor);
+  auto dup_reply = conn.value()->call(proto::Method::kOpenSession,
+                                      proto::encode(open), cursor);
   ASSERT_TRUE(dup_reply.ok()) << dup_reply.status().to_string();
-  auto dup_resp = decode_payload<proto::OpenSessionResp>(dup_reply.value());
+  auto dup_resp = proto::decode<proto::OpenSessionResp>(
+      ByteSpan{dup_reply.value().payload});
   ASSERT_TRUE(dup_resp.ok());
   EXPECT_TRUE(dup_resp.value().status.to_status().ok());
   EXPECT_EQ(dup_resp.value().session_id, session_id);
