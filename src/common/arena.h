@@ -115,7 +115,9 @@ struct Stats {
 // steady state allocation-free.
 [[nodiscard]] inline Bytes acquire(std::size_t capacity) {
   auto& arena = detail::byte_arena();
-  if (capacity > Bytes::kInlineCapacity && capacity <= detail::kMaxClassBytes) {
+  // Inline-sized requests never touch the heap: neither a hit nor a miss.
+  if (capacity <= Bytes::kInlineCapacity) return Bytes{};
+  if (capacity <= detail::kMaxClassBytes) {
     const std::size_t index = detail::class_index(capacity);
     auto& size_class = arena.classes[index];
     detail::SpinGuard guard(size_class.lock);
@@ -128,7 +130,7 @@ struct Stats {
   }
   arena.misses.fetch_add(1, std::memory_order_relaxed);
   Bytes buffer;
-  if (capacity > Bytes::kInlineCapacity && capacity <= detail::kMaxClassBytes) {
+  if (capacity <= detail::kMaxClassBytes) {
     // Reserve the full class size so the capacity is a power of two:
     // recycle() then files this buffer under the same class acquire() will
     // search for a same-sized request. An exact-size reservation would

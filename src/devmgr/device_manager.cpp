@@ -93,7 +93,7 @@ DeviceManager::DeviceManager(DeviceManagerConfig config, sim::Board* board,
       board_(board),
       node_shm_(node_shm),
       endpoint_(config_.id),
-      scheduler_(make_scheduler(config_.scheduler)) {
+      scheduler_(config_.scheduler) {
   BF_CHECK(board_ != nullptr);
   const metrics::Labels labels{{"device", board_->id()},
                                {"manager", config_.id}};
@@ -131,7 +131,7 @@ DeviceManager::~DeviceManager() { shutdown(); }
 void DeviceManager::shutdown() {
   if (shutdown_.exchange(true)) return;
   endpoint_.shutdown();  // closes connections and the gate
-  scheduler_->close();
+  scheduler_.close();
   if (worker_.joinable()) worker_.join();
   std::vector<std::thread> dispatchers;
   {
@@ -201,7 +201,7 @@ Result<DeviceManager::HealthSnapshot> DeviceManager::health() {
     return Unavailable("device manager " + config_.id + " is shut down");
   }
   HealthSnapshot snapshot;
-  snapshot.queue_depth = scheduler_->size();
+  snapshot.queue_depth = scheduler_.size();
   snapshot.accepting = true;
   {
     std::lock_guard lock(state_mutex_);
@@ -388,7 +388,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
       task.program_waiter = std::make_shared<ProgramWaiter>();
       task.seq = next_task_seq_++;
       auto waiter = task.program_waiter;
-      if (Status pushed = scheduler_->push(std::move(task)); !pushed.ok()) {
+      if (Status pushed = scheduler_.push(std::move(task)); !pushed.ok()) {
         // Shutdown race: the queue rejected the task; complete the waiter
         // ourselves so the dispatcher below unblocks with a status.
         waiter->complete(pushed, at);
@@ -479,7 +479,7 @@ void DeviceManager::handle_sync(std::uint64_t session_id,
     }
     case proto::Method::kHealthCheck: {
       proto::HealthResp resp;
-      resp.queue_depth = scheduler_->size();
+      resp.queue_depth = scheduler_.size();
       resp.sessions = sessions_.size();
       resp.ops_executed = ops_executed_;
       resp.accepting = !shutdown_.load();
@@ -658,14 +658,14 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
     }
   }
   if (kernel_ops == 1 && dependency_free && !kernel_name.empty() &&
-      transfer_bytes <= config_.scheduler.batch_small_bytes) {
+      transfer_bytes <= kBatchSmallBytes) {
     task.batchable = true;
     task.batch_key = kernel_name;
   }
   std::vector<std::uint64_t> op_ids;
   op_ids.reserve(task.ops.size());
   for (const Operation& op : task.ops) op_ids.push_back(op.op_id);
-  if (Status pushed = scheduler_->push(std::move(task)); !pushed.ok()) {
+  if (Status pushed = scheduler_.push(std::move(task)); !pushed.ok()) {
     // Shutdown race: the central queue already closed. Fail every op's
     // event with the rejection status so no client event is left hanging
     // in FIRST/BUFFER (push-after-close must reject, never silently queue).
@@ -691,20 +691,25 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
 
 void DeviceManager::worker_loop() {
   for (;;) {
-    PopResult next = scheduler_->pop_next_safe(endpoint_.gate());
+    // Reordering policies choose among the tasks that arrive by the time
+    // the board frees; FIFO pops its head and needs no board lookup.
+    const vt::Time board_free =
+        config_.scheduler.policy == SchedulerPolicy::kFifo
+            ? vt::Time::zero()
+            : board_->busy_until();
+    PopResult next = scheduler_.pop_next_safe(endpoint_.gate(), board_free);
     if (!next.task.has_value()) break;  // closed and drained
     if (next.reason == PopReason::kStallFallback) {
       stall_fallbacks_counter_->increment();
     }
     if (config_.record_execution_journal) {
+      const bool ordered = next.reason == PopReason::kSafe;
       std::lock_guard lock(state_mutex_);
       journal_.push_back(ExecutionRecord{next.task->ready, next.task->seq,
-                                         next.task->client_id,
-                                         next.strict_order});
+                                         next.task->client_id, ordered});
       for (const Task& companion : next.batch) {
         journal_.push_back(ExecutionRecord{companion.ready, companion.seq,
-                                           companion.client_id,
-                                           next.strict_order});
+                                           companion.client_id, ordered});
       }
     }
     if (fault::should_fire(fault::site::kDevmgrWorkerStall)) {
@@ -1204,7 +1209,7 @@ void DeviceManager::cleanup_session(std::uint64_t session_id) {
   // spends board time on work nobody can observe. Program waiters are
   // completed with kCancelled (the dispatcher blocked on them belongs to
   // this very connection, but a shutdown drain may also reach here).
-  std::vector<Task> cancelled = scheduler_->cancel_session(session_id);
+  std::vector<Task> cancelled = scheduler_.cancel_session(session_id);
   for (Task& task : cancelled) {
     if (task.program_waiter != nullptr) {
       task.program_waiter->complete(

@@ -217,7 +217,7 @@ class DeviceManager {
   sim::Board* board_;
   shm::Namespace* node_shm_;
   net::ServerEndpoint endpoint_;
-  std::unique_ptr<Scheduler> scheduler_;
+  Scheduler scheduler_;
   metrics::Registry metrics_;
 
   mutable std::mutex state_mutex_;

@@ -1,8 +1,6 @@
 #include "devmgr/scheduler.h"
 
-#include <condition_variable>
-#include <mutex>
-#include <set>
+#include <algorithm>
 #include <utility>
 
 namespace bf::devmgr {
@@ -17,288 +15,165 @@ std::string_view to_string(SchedulerPolicy policy) {
   return "?";
 }
 
-namespace {
-
-// A queued task plus policy metadata (the WFQ virtual finish tag).
-struct Entry {
-  Task task;
-  double finish_tag = 0.0;
-};
-
 // The paper's modeled-FIFO order. Equal modeled stamps break ties
 // deterministically by client (pod name), never by real arrival order —
 // run-to-run reproducibility depends on it. seq keeps one client's
 // equal-stamp tasks in submission order.
-struct ByReady {
-  bool operator()(const Entry& a, const Entry& b) const {
-    if (a.task.ready != b.task.ready) return a.task.ready < b.task.ready;
-    if (a.task.client_id != b.task.client_id) {
-      return a.task.client_id < b.task.client_id;
+bool Scheduler::GateOrder::operator()(const Entry& a, const Entry& b) const {
+  if (a.task.ready != b.task.ready) return a.task.ready < b.task.ready;
+  if (a.task.client_id != b.task.client_id) {
+    return a.task.client_id < b.task.client_id;
+  }
+  return a.task.seq < b.task.seq;
+}
+
+Scheduler::Scheduler(SchedulerConfig config) : config_(std::move(config)) {}
+
+Status Scheduler::push(Task task) {
+  {
+    std::lock_guard lock(mutex_);
+    if (closed_) {
+      return Unavailable("scheduler closed");
     }
-    return a.task.seq < b.task.seq;
+    entries_.insert(Entry{std::move(task), std::nullopt});
   }
-};
+  // Exactly one consumer (the manager's worker thread) ever blocks in
+  // pop_next_safe, so one wake suffices; close() keeps notify_all for the
+  // shutdown broadcast.
+  cv_.notify_one();
+  return Status::Ok();
+}
 
-struct ByFinishTag {
-  bool operator()(const Entry& a, const Entry& b) const {
-    if (a.finish_tag != b.finish_tag) return a.finish_tag < b.finish_tag;
-    return ByReady{}(a, b);
-  }
-};
-
-struct ByDeadline {
-  bool operator()(const Entry& a, const Entry& b) const {
-    if (a.task.deadline != b.task.deadline) {
-      return a.task.deadline < b.task.deadline;
-    }
-    return ByReady{}(a, b);
-  }
-};
-
-// Shared machinery: the mutex/cv queue with close/cancel semantics and the
-// conservatively gated pop loop. Policies customize the container order
-// (Compare), entry annotation at push, the gate wait stamp, and how the head
-// (plus batch companions) is taken.
-template <typename Compare>
-class QueueBase : public Scheduler {
- public:
-  Status push(Task task) override {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_) {
-        return Unavailable("scheduler closed");
-      }
-      Entry entry{std::move(task), 0.0};
-      annotate_locked(entry);
-      entries_.insert(std::move(entry));
-    }
-    // Exactly one consumer (the manager's worker thread) ever blocks in
-    // pop_next_safe, so one wake suffices; close() keeps notify_all for the
-    // shutdown broadcast.
-    cv_.notify_one();
-    return Status::Ok();
-  }
-
-  PopResult pop_next_safe(vt::Gate& gate) override {
-    for (;;) {
-      vt::Time stamp;
-      {
-        std::unique_lock lock(mutex_);
-        cv_.wait(lock, [&] { return closed_ || !entries_.empty(); });
-        if (entries_.empty()) {  // closed and drained
-          PopResult out;
-          out.reason = PopReason::kClosedDrained;
-          return out;
-        }
-        stamp = wait_stamp_locked();
-      }
-      // Conservative gate: no client can still emit anything stamped earlier
-      // than the wait stamp. While we wait, only later-stamped tasks can be
-      // added, so the stamp is stable.
-      bool fallback = false;
-      if (!gate.wait_safe(stamp, &fallback)) {
-        // Gate shutdown: drain remaining tasks without ordering guarantees
-        // so pending waiters (e.g. ProgramWaiter) are not stranded.
-        std::lock_guard lock(mutex_);
-        PopResult out;
-        out.strict_order = false;
-        out.reason = PopReason::kShutdownDrain;
-        if (entries_.empty()) return out;
-        take_locked(out);
-        return out;
-      }
-      std::lock_guard lock(mutex_);
-      if (entries_.empty()) continue;
+PopResult Scheduler::pop_next_safe(vt::Gate& gate, vt::Time board_free) {
+  if (config_.policy == SchedulerPolicy::kFifo) board_free = vt::Time::zero();
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    cv_.wait(lock, [&] { return closed_ || !entries_.empty(); });
+    if (entries_.empty()) {  // closed and drained
       PopResult out;
-      out.strict_order = !fallback;
-      out.reason = fallback ? PopReason::kStallFallback : PopReason::kSafe;
-      take_locked(out);
+      out.reason = PopReason::kClosedDrained;
       return out;
     }
+    // Conservative gate: once it clears the wait stamp, no client can still
+    // emit a task stamped earlier, so every eligible task is queued.
+    const vt::Time stamp = vt::max(entries_.begin()->task.ready, board_free);
+    lock.unlock();
+    bool fallback = false;
+    const bool safe = gate.wait_safe(stamp, &fallback);
+    lock.lock();
+    // cancel_session may have emptied the queue during the wait; the worker
+    // must keep waiting for a push or close(), even after a gate shutdown.
+    if (entries_.empty()) continue;
+    PopResult out;
+    out.reason = !safe     ? PopReason::kShutdownDrain
+                 : fallback ? PopReason::kStallFallback
+                            : PopReason::kSafe;
+    // The limit comes from the queue as it is after the wait: a task stamped
+    // below the pre-wait head may have landed meanwhile.
+    take_locked(vt::max(entries_.begin()->task.ready, board_free), out);
+    return out;
   }
+}
 
-  std::vector<Task> cancel_session(std::uint64_t session_id) override {
-    std::vector<Task> cancelled;
-    std::lock_guard lock(mutex_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->task.session_id == session_id) {
-        auto node = entries_.extract(it++);
-        cancelled.push_back(std::move(node.value().task));
-      } else {
-        ++it;
-      }
-    }
-    return cancelled;
-  }
-
-  void close() override {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  std::size_t size() const override {
-    std::lock_guard lock(mutex_);
-    return entries_.size();
-  }
-
- protected:
-  // Push-time policy metadata (WFQ finish tags). Requires mutex_ held.
-  virtual void annotate_locked(Entry& entry) { (void)entry; }
-
-  // The stamp the gate must clear before the next pop. FIFO pops its head,
-  // so head ready == min ready; reordering policies still gate on the
-  // earliest queued stamp (the strongest guarantee a conservative gate can
-  // give once the policy deviates from modeled-arrival order).
-  [[nodiscard]] virtual vt::Time wait_stamp_locked() const {
-    return entries_.begin()->task.ready;
-  }
-
-  // Removes the policy head into `out`. Requires mutex_ held and a
-  // non-empty queue.
-  virtual void take_locked(PopResult& out) {
-    auto node = entries_.extract(entries_.begin());
-    taken_locked(node.value());
-    out.task = std::move(node.value().task);
-  }
-
-  // Observation hook after the head is chosen (WFQ virtual-time advance).
-  virtual void taken_locked(const Entry& entry) { (void)entry; }
-
-  [[nodiscard]] vt::Time min_ready_locked() const {
-    vt::Time min = vt::Time::infinite();
-    for (const Entry& entry : entries_) {
-      if (entry.task.ready < min) min = entry.task.ready;
-    }
-    return min;
-  }
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::multiset<Entry, Compare> entries_;
-  bool closed_ = false;
-};
-
-// --- kFifo: the historical TaskQueue, re-homed --------------------------------
-
-class FifoScheduler final : public QueueBase<ByReady> {
- public:
-  [[nodiscard]] std::string_view name() const override { return "fifo"; }
-};
-
-// --- kWeightedFair: client-keyed virtual finish times --------------------------
-
-class WfqScheduler final : public QueueBase<ByFinishTag> {
- public:
-  explicit WfqScheduler(SchedulerConfig config) : config_(std::move(config)) {}
-
-  [[nodiscard]] std::string_view name() const override { return "wfq"; }
-
- protected:
-  void annotate_locked(Entry& entry) override {
-    // Classic start-time fair queueing with unit task cost: a task's finish
-    // tag advances its client's virtual stream by 1/weight, anchored at the
-    // global virtual time so an idle client re-enters at "now" instead of
-    // burning accumulated credit.
-    const double weight = weight_for(entry.task.client_id);
-    double& last = last_finish_[entry.task.client_id];
-    const double start = last > virtual_now_ ? last : virtual_now_;
-    last = start + 1.0 / weight;
-    entry.finish_tag = last;
-  }
-
-  [[nodiscard]] vt::Time wait_stamp_locked() const override {
-    return min_ready_locked();
-  }
-
-  void taken_locked(const Entry& entry) override {
-    if (entry.finish_tag > virtual_now_) virtual_now_ = entry.finish_tag;
-  }
-
- private:
-  [[nodiscard]] double weight_for(const std::string& client_id) const {
-    auto it = config_.weights.find(client_id);
-    const double weight =
-        it != config_.weights.end() ? it->second : config_.default_weight;
-    return weight > 0.0 ? weight : 1.0;
-  }
-
-  SchedulerConfig config_;
-  double virtual_now_ = 0.0;
-  std::map<std::string, double> last_finish_;  // client -> last finish tag
-};
-
-// --- kDeadline: EDF with ready-stamp fallback ----------------------------------
-
-class EdfScheduler final : public QueueBase<ByDeadline> {
- public:
-  [[nodiscard]] std::string_view name() const override { return "edf"; }
-
- protected:
-  [[nodiscard]] vt::Time wait_stamp_locked() const override {
-    return min_ready_locked();
-  }
-};
-
-// --- kBatching: FIFO plus same-kernel coalescing -------------------------------
-
-class BatchingScheduler final : public QueueBase<ByReady> {
- public:
-  explicit BatchingScheduler(SchedulerConfig config)
-      : config_(std::move(config)) {}
-
-  [[nodiscard]] std::string_view name() const override { return "batch"; }
-
- protected:
-  void take_locked(PopResult& out) override {
-    auto lead = entries_.extract(entries_.begin());
-    const Task& head = lead.value().task;
-    if (head.batchable && config_.max_batch > 1) {
-      // Scan in FIFO order for compatible companions. A client whose next
-      // task is skipped is blocked for the rest of the scan: pulling a later
-      // task of that client past the skipped one would invert its completion
-      // order. A program task is a barrier — nothing batches across a
-      // reconfiguration.
-      std::set<std::string> blocked;
-      const vt::Time horizon = head.ready + config_.batch_window;
-      for (auto it = entries_.begin();
-           it != entries_.end() && out.batch.size() + 1 < config_.max_batch;) {
-        const Task& candidate = it->task;
-        if (candidate.is_program) break;
-        if (candidate.ready > horizon) break;  // FIFO order: no later match
-        if (candidate.batchable && candidate.batch_key == head.batch_key &&
-            blocked.count(candidate.client_id) == 0) {
-          auto node = entries_.extract(it++);
-          out.batch.push_back(std::move(node.value().task));
-        } else {
-          blocked.insert(candidate.client_id);
-          ++it;
-        }
-      }
-    }
-    out.task = std::move(lead.value().task);
-  }
-
- private:
-  SchedulerConfig config_;
-};
-
-}  // namespace
-
-std::unique_ptr<Scheduler> make_scheduler(const SchedulerConfig& config) {
-  switch (config.policy) {
+void Scheduler::take_locked(vt::Time limit, PopResult& out) {
+  // The eligible tasks (ready <= limit) are a prefix of the gate order.
+  auto eligible_end = [&] {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [&](const Entry& e) { return e.task.ready > limit; });
+  };
+  auto chosen = entries_.begin();
+  switch (config_.policy) {
     case SchedulerPolicy::kFifo:
-      return std::make_unique<FifoScheduler>();
-    case SchedulerPolicy::kWeightedFair:
-      return std::make_unique<WfqScheduler>(config);
-    case SchedulerPolicy::kDeadline:
-      return std::make_unique<EdfScheduler>();
     case SchedulerPolicy::kBatching:
-      return std::make_unique<BatchingScheduler>(config);
+      break;
+    case SchedulerPolicy::kWeightedFair:
+      chosen = pick_wfq_locked(eligible_end());
+      break;
+    case SchedulerPolicy::kDeadline:
+      chosen = std::min_element(entries_.begin(), eligible_end(),
+                                [](const Entry& a, const Entry& b) {
+                                  return a.task.deadline < b.task.deadline;
+                                });
+      break;
   }
-  return std::make_unique<FifoScheduler>();
+  out.task = std::move(entries_.extract(chosen).value().task);
+  if (config_.policy == SchedulerPolicy::kBatching) {
+    add_companions_locked(*out.task, limit, out.batch);
+  }
+}
+
+Scheduler::Entries::iterator Scheduler::pick_wfq_locked(
+    Entries::iterator end) {
+  // Start-time fair queueing with unit task cost: a task's finish tag
+  // advances its client's virtual stream by 1/weight, anchored at the
+  // virtual time so an idle client re-enters at "now" instead of burning
+  // accumulated credit. Tags are assigned in gate order as tasks become
+  // eligible, so they do not depend on when the pushes happened.
+  auto best = entries_.begin();
+  for (auto it = entries_.begin(); it != end; ++it) {
+    if (!it->finish_tag) {
+      auto weight_it = config_.weights.find(it->task.client_id);
+      const double weight = weight_it != config_.weights.end() &&
+                                    weight_it->second > 0.0
+                                ? weight_it->second
+                                : 1.0;
+      double& last = last_finish_[it->task.client_id];
+      last = std::max(last, virtual_now_) + 1.0 / weight;
+      it->finish_tag = last;
+    }
+    if (*it->finish_tag < *best->finish_tag) best = it;  // ties: gate order
+  }
+  virtual_now_ = std::max(virtual_now_, *best->finish_tag);
+  return best;
+}
+
+void Scheduler::add_companions_locked(const Task& head, vt::Time limit,
+                                      std::vector<Task>& batch) {
+  if (!head.batchable) return;
+  // Scan the eligible prefix in gate order. A client whose next task is
+  // skipped is blocked for the rest of the scan: pulling a later task of
+  // that client past the skipped one would invert its completion order. A
+  // program task is a barrier — nothing batches across a reconfiguration.
+  std::set<std::string> blocked;
+  for (auto it = entries_.begin(); it != entries_.end() &&
+                                   it->task.ready <= limit &&
+                                   batch.size() + 1 < config_.max_batch;) {
+    const Task& candidate = it->task;
+    if (candidate.is_program) break;
+    if (candidate.batchable && candidate.batch_key == head.batch_key &&
+        !blocked.contains(candidate.client_id)) {
+      batch.push_back(std::move(entries_.extract(it++).value().task));
+    } else {
+      blocked.insert(candidate.client_id);
+      ++it;
+    }
+  }
+}
+
+std::vector<Task> Scheduler::cancel_session(std::uint64_t session_id) {
+  std::vector<Task> cancelled;
+  std::lock_guard lock(mutex_);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->task.session_id == session_id) {
+      cancelled.push_back(std::move(entries_.extract(it++).value().task));
+    } else {
+      ++it;
+    }
+  }
+  return cancelled;
+}
+
+void Scheduler::close() {
+  {
+    std::lock_guard lock(mutex_);
+    closed_ = true;
+  }
+  cv_.notify_all();
+}
+
+std::size_t Scheduler::size() const {
+  std::lock_guard lock(mutex_);
+  return entries_.size();
 }
 
 }  // namespace bf::devmgr

@@ -1,34 +1,36 @@
-// Pluggable central scheduler of a Device Manager.
+// The central scheduler of a Device Manager.
 //
 // The paper's Device Manager serializes every task through one modeled-FIFO
 // queue (§III-B) — the known bottleneck behind the Table III/IV degradation
-// at high load. This interface makes the ordering decision a policy:
+// at high load. One queue, kept in gate order (ready stamp, client, seq),
+// serves every policy; the policy only decides which *eligible* task leaves
+// it (docs/SCHEDULING.md):
 //
-//  * kFifo         — the paper's modeled-FIFO (ready stamp, client, seq),
-//                    conservatively gated (vt::Gate). The default; behaves
-//                    byte-identically to the historical TaskQueue.
-//  * kWeightedFair — per-tenant weighted fair queueing: tasks are ordered by
-//                    client-keyed virtual finish times, so a tenant's share
-//                    of board passes tracks its configured weight under
-//                    contention instead of its raw submission rate.
+//  * kFifo         — the paper's modeled FIFO: the head, conservatively gated
+//                    (vt::Gate). The default.
+//  * kWeightedFair — per-tenant weighted fair queueing on client-keyed
+//                    virtual finish tags, so a tenant's share of board passes
+//                    tracks its configured weight under contention.
 //  * kDeadline     — earliest-deadline-first on the task deadline the client
 //                    derived from its CallOptions timeout; tasks without a
-//                    deadline sort by ready stamp behind any deadlined work
-//                    due at the same instant.
-//  * kBatching     — FIFO order plus coalescing: compatible same-kernel
-//                    small launches from the head of the queue are handed to
-//                    the worker as one batch, which the board executes as a
-//                    single pass (one launch overhead instead of N).
+//                    deadline sort behind deadlined work, in gate order.
+//  * kBatching     — the head plus compatible same-kernel small launches,
+//                    handed to the worker as one batch that the board
+//                    executes as a single pass (one launch overhead).
 //
-// Only the Device Manager constructs or pops a concrete scheduler; every
-// other layer selects a policy through SchedulerConfig
-// (tools/check_api.sh enforces interface-only access outside src/devmgr/).
+// A task is eligible once it has arrived by the time the board frees:
+// ready <= max(earliest queued ready, board_free). The gate guarantees that
+// set is complete before the pop decides, so every policy is byte-
+// deterministic and work-conserving. Only the Device Manager pops a
+// scheduler (tools/check_api.sh enforces this outside src/devmgr/).
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,23 +45,21 @@ enum class SchedulerPolicy { kFifo, kWeightedFair, kDeadline, kBatching };
 
 [[nodiscard]] std::string_view to_string(SchedulerPolicy policy);
 
+// kBatching: a task is batchable only if its transfers move at most this
+// many bytes over PCIe — batching amortizes the fixed launch overhead of
+// *small* launches; a huge transfer would just delay the whole pass.
+inline constexpr std::uint64_t kBatchSmallBytes = 4ULL * 1024 * 1024;
+
 struct SchedulerConfig {
   SchedulerPolicy policy = SchedulerPolicy::kFifo;
 
-  // kWeightedFair: client_id (pod name) -> weight. Missing clients get
-  // default_weight; a tenant with twice the weight gets twice the board
-  // passes when both are backlogged.
+  // kWeightedFair: client_id (pod name) -> weight; missing clients weigh 1.
+  // A tenant with twice the weight gets twice the board passes when both
+  // are backlogged.
   std::map<std::string, double> weights;
-  double default_weight = 1.0;
 
-  // kBatching: at most max_batch tasks per board pass; a companion joins the
-  // head's batch only if it runs the same kernel, its ready stamp is within
-  // batch_window of the head's, and it moves no more than batch_small_bytes
-  // over PCIe (batching exists to amortize the fixed launch overhead of
-  // *small* launches — a huge transfer would just delay the whole pass).
+  // kBatching: at most max_batch tasks per board pass.
   std::size_t max_batch = 4;
-  vt::Duration batch_window = vt::Duration::millis(10);
-  std::uint64_t batch_small_bytes = 4ULL * 1024 * 1024;
 };
 
 // Why a pop returned the way it did.
@@ -70,18 +70,14 @@ enum class PopReason {
   kClosedDrained, // scheduler closed and empty: the worker should exit
 };
 
-// Typed result of Scheduler::pop_next_safe (replaces the historical
-// TaskQueue::pop(vt::Gate&, bool* ordered) out-param API).
 struct PopResult {
   // The task to execute; nullopt iff the scheduler is closed and drained.
   std::optional<Task> task;
-  // True iff the pop was conservatively gated — strict policy order over the
-  // complete set of tasks stamped up to the popped task's ready time. False
-  // for shutdown drains and stall-grace fallbacks (best-effort order).
-  bool strict_order = true;
+  // kSafe pops are in strict policy order over every task eligible at the
+  // pop; the others are best-effort.
   PopReason reason = PopReason::kSafe;
   // kBatching only: further tasks coalesced with *task into one board pass,
-  // in FIFO order. Empty under every other policy.
+  // in gate order. Empty under every other policy.
   std::vector<Task> batch;
 };
 
@@ -91,31 +87,56 @@ struct PopResult {
 // succeeds (the task will be drained) or is rejected with kUnavailable.
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
+  explicit Scheduler(SchedulerConfig config = {});
 
   // Enqueues a task. After close() every push is rejected deterministically
   // with kUnavailable — the task is NOT silently queued or dropped, and the
   // caller must fail the task's events so clients observe a terminal status.
-  [[nodiscard]] virtual Status push(Task task) = 0;
+  [[nodiscard]] Status push(Task task);
 
-  // Blocks until the policy's next task is safe to execute (or the
-  // scheduler/gate is shut down). Single-consumer.
-  [[nodiscard]] virtual PopResult pop_next_safe(vt::Gate& gate) = 0;
+  // Blocks until the policy's next task is safe to execute, or the
+  // scheduler is closed and drained. `board_free` is when the board finishes
+  // its current work; a reordering policy waits on the gate up to it and
+  // chooses among the tasks that have arrived by then. kFifo ignores it.
+  // Once the gate is shut down, pops drain without waiting. Single-consumer.
+  [[nodiscard]] PopResult pop_next_safe(vt::Gate& gate,
+                                        vt::Time board_free = vt::Time::zero());
 
   // Removes every still-queued task of `session_id` and returns them so the
   // caller can fail their waiters (program waiters, per-op events). Tasks
   // already handed to the worker are not recalled.
-  [[nodiscard]] virtual std::vector<Task> cancel_session(
-      std::uint64_t session_id) = 0;
+  [[nodiscard]] std::vector<Task> cancel_session(std::uint64_t session_id);
 
-  virtual void close() = 0;
+  void close();
 
-  [[nodiscard]] virtual std::size_t size() const = 0;
+  [[nodiscard]] std::size_t size() const;
 
-  [[nodiscard]] virtual std::string_view name() const = 0;
+ private:
+  // A queued task plus its WFQ virtual finish tag, assigned when the task
+  // first becomes eligible. The tag is not part of the gate order.
+  struct Entry {
+    Task task;
+    mutable std::optional<double> finish_tag;
+  };
+  struct GateOrder {
+    bool operator()(const Entry& a, const Entry& b) const;
+  };
+  using Entries = std::multiset<Entry, GateOrder>;
+
+  // Moves the policy's choice among the tasks stamped <= `limit` into
+  // `out`. Requires mutex_ held and a non-empty queue.
+  void take_locked(vt::Time limit, PopResult& out);
+  Entries::iterator pick_wfq_locked(Entries::iterator end);
+  void add_companions_locked(const Task& head, vt::Time limit,
+                             std::vector<Task>& batch);
+
+  const SchedulerConfig config_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  Entries entries_;
+  bool closed_ = false;
+  double virtual_now_ = 0.0;                   // WFQ: last served finish tag
+  std::map<std::string, double> last_finish_;  // WFQ: client -> last tag
 };
-
-[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
-    const SchedulerConfig& config);
 
 }  // namespace bf::devmgr

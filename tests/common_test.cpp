@@ -1,8 +1,9 @@
-// bf::common: Status/Result, SampleStats, Rng, bytes.
+// bf::common: Status/Result, SampleStats, Rng, bytes, arena.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "common/arena.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -164,6 +165,32 @@ TEST(Bytes, SpansWrapRawMemory) {
   MutableByteSpan mutable_span = as_writable_bytes(&word, sizeof(word));
   mutable_span[0] = 0xFF;
   EXPECT_NE(word, 0x01020304u);
+}
+
+// ---- arena ---------------------------------------------------------------------
+
+TEST(Arena, InlineSizedAcquiresAreNeitherHitsNorMisses) {
+  // A request that fits Bytes' inline storage never touches the heap, so
+  // counting it as a miss would understate the arena's hit rate.
+  const arena::Stats before = arena::stats();
+  Bytes small = arena::acquire(Bytes::kInlineCapacity);
+  EXPECT_FALSE(small.is_heap());
+  EXPECT_GE(small.capacity(), Bytes::kInlineCapacity);
+  const arena::Stats after = arena::stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits);
+}
+
+TEST(Arena, HeapBackedAcquiresCountOneHitOrMissEach) {
+  const arena::Stats before = arena::stats();
+  Bytes first = arena::acquire(Bytes::kInlineCapacity + 1);
+  EXPECT_TRUE(first.is_heap());
+  arena::recycle(std::move(first));
+  Bytes second = arena::acquire(Bytes::kInlineCapacity + 1);
+  EXPECT_TRUE(second.is_heap());
+  const arena::Stats after = arena::stats();
+  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses), 2u);
+  EXPECT_GE(after.hits - before.hits, 1u);  // the recycled buffer came back
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST(GateEdge, ShutdownWhileConsumerBlocksInSchedulerPop) {
   // The integrated shape of the shutdown edge: a worker blocked in
   // Scheduler::pop_next_safe -> Gate::wait_safe is unblocked by gate
   // shutdown and still drains the queued task, marked unordered.
-  auto queue = devmgr::make_scheduler({});
+  devmgr::Scheduler queue;
   Gate gate;
   gate.set_stall_grace(std::chrono::hours(1));
   auto source = gate.register_source(Time::zero());  // holds the gate shut
@@ -144,11 +144,11 @@ TEST(GateEdge, ShutdownWhileConsumerBlocksInSchedulerPop) {
   task.seq = 1;
   task.client_id = "a";
   task.ready = Time::millis(10);
-  ASSERT_TRUE(queue->push(task).ok());
+  ASSERT_TRUE(queue.push(task).ok());
   std::atomic<bool> done{false};
   devmgr::PopResult popped;
   std::thread consumer([&] {
-    popped = queue->pop_next_safe(gate);
+    popped = queue.pop_next_safe(gate);
     done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -158,7 +158,6 @@ TEST(GateEdge, ShutdownWhileConsumerBlocksInSchedulerPop) {
   ASSERT_TRUE(popped.task.has_value());
   EXPECT_EQ(popped.task->seq, 1u);
   // Shutdown drain carries no FIFO guarantee.
-  EXPECT_FALSE(popped.strict_order);
   EXPECT_EQ(popped.reason, devmgr::PopReason::kShutdownDrain);
 }
 
@@ -171,7 +170,7 @@ class GateDeterminismTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(GateDeterminismTest, SeededScheduleDrainsIdentically) {
   constexpr std::uint64_t kTasks = 64;
   auto run_once = [&](std::uint64_t seed) {
-    auto queue = devmgr::make_scheduler({});
+    devmgr::Scheduler queue;
     Gate gate;
     gate.set_stall_grace(std::chrono::seconds(5));
     auto source = gate.register_source(Time::zero());
@@ -193,7 +192,7 @@ TEST_P(GateDeterminismTest, SeededScheduleDrainsIdentically) {
           task.seq = seq;
           task.client_id = "client-" + std::to_string(rng.next_u64() % 3);
           task.ready = stamp;
-          EXPECT_TRUE(queue->push(std::move(task)).ok());
+          EXPECT_TRUE(queue.push(std::move(task)).ok());
         }
         source.announce(stamp + Duration::nanos(1));
         if (seq % 8 == 0) {
@@ -205,12 +204,13 @@ TEST_P(GateDeterminismTest, SeededScheduleDrainsIdentically) {
     std::vector<std::string> trace;
     bool fallback_seen = false;
     for (std::uint64_t i = 0; i < kTasks; ++i) {
-      devmgr::PopResult r = queue->pop_next_safe(gate);
+      devmgr::PopResult r = queue.pop_next_safe(gate);
       if (!r.task.has_value()) {
         ADD_FAILURE() << "queue drained early at task " << i;
         break;
       }
-      fallback_seen = fallback_seen || !r.strict_order;
+      fallback_seen =
+          fallback_seen || r.reason != devmgr::PopReason::kSafe;
       trace.push_back(std::to_string(r.task->ready.ns()) + "/" +
                       r.task->client_id + "/" + std::to_string(r.task->seq));
     }

@@ -147,21 +147,21 @@ devmgr::Task make_task(std::uint64_t seq, std::uint64_t session,
 }
 
 TEST(TaskQueueRecovery, CancelSessionRemovesOnlyThatSession) {
-  auto queue = devmgr::make_scheduler({});
-  ASSERT_TRUE(queue->push(make_task(1, 10, "a", 100)).ok());
-  ASSERT_TRUE(queue->push(make_task(2, 20, "b", 200)).ok());
-  ASSERT_TRUE(queue->push(make_task(3, 10, "a", 300)).ok());
-  ASSERT_TRUE(queue->push(make_task(4, 30, "c", 400)).ok());
+  devmgr::Scheduler queue;
+  ASSERT_TRUE(queue.push(make_task(1, 10, "a", 100)).ok());
+  ASSERT_TRUE(queue.push(make_task(2, 20, "b", 200)).ok());
+  ASSERT_TRUE(queue.push(make_task(3, 10, "a", 300)).ok());
+  ASSERT_TRUE(queue.push(make_task(4, 30, "c", 400)).ok());
 
-  auto cancelled = queue->cancel_session(10);
+  auto cancelled = queue.cancel_session(10);
   ASSERT_EQ(cancelled.size(), 2u);
   for (const auto& task : cancelled) EXPECT_EQ(task.session_id, 10u);
-  EXPECT_EQ(queue->size(), 2u);
+  EXPECT_EQ(queue.size(), 2u);
 
   // Cancelling an unknown session is a harmless no-op.
-  EXPECT_TRUE(queue->cancel_session(99).empty());
-  EXPECT_EQ(queue->size(), 2u);
-  queue->close();
+  EXPECT_TRUE(queue.cancel_session(99).empty());
+  EXPECT_EQ(queue.size(), 2u);
+  queue.close();
 }
 
 // --- 2. net: deadlines and retry against a hand-rolled server ----------------

@@ -1,12 +1,13 @@
-// bf::devmgr::Scheduler: the pluggable central queue behind the Device
-// Manager, exercised directly (unit level) through make_scheduler.
+// bf::devmgr::Scheduler: the central queue behind the Device Manager,
+// exercised directly (unit level).
 //
 // The FifoScheduler section is the golden behavior contract inherited from
 // the historical TaskQueue: every ordering, gating, close and drain property
 // the old queue guaranteed must hold byte-identically for the default
-// policy. The remaining sections cover the three new policies: weighted
-// fair queueing share proportionality, EDF deadline ordering, and batching
-// coalescing/ordering/cancel semantics. The last section drives a kBatching
+// policy. The remaining sections cover the reordering policies: weighted
+// fair queueing share proportionality, EDF deadline ordering, batching
+// coalescing/ordering/cancel semantics, and the eligibility rule they share
+// (determinism and work conservation). The last section drives a kBatching
 // DeviceManager end to end, so the worker's batched execution path runs
 // under the same label (and the same sanitizer sweep) as the policy.
 #include <gtest/gtest.h>
@@ -53,11 +54,20 @@ Task make_batchable(std::uint64_t seq, const std::string& client,
   return task;
 }
 
-std::unique_ptr<Scheduler> make_fifo() { return make_scheduler({}); }
+SchedulerConfig config_for(SchedulerPolicy policy) {
+  SchedulerConfig config;
+  config.policy = policy;
+  return config;
+}
+
+// A board busy past every stamp the reordering tests queue: every queued
+// task is eligible at each pop.
+constexpr vt::Time kBoardBusy = vt::Time::seconds(1);
 
 // Convenience for tests where the pop cannot block: asserts a task came out.
-Task pop_one(Scheduler& queue, vt::Gate& gate) {
-  PopResult result = queue.pop_next_safe(gate);
+Task pop_one(Scheduler& queue, vt::Gate& gate,
+             vt::Time board_free = vt::Time::zero()) {
+  PopResult result = queue.pop_next_safe(gate, board_free);
   EXPECT_TRUE(result.task.has_value());
   return std::move(*result.task);
 }
@@ -65,25 +75,25 @@ Task pop_one(Scheduler& queue, vt::Gate& gate) {
 // ---- FifoScheduler: the TaskQueue golden behavior contract -------------------
 
 TEST(FifoScheduler, PopsInReadyOrderNotPushOrder) {
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;  // no sources: always safe
-  ASSERT_TRUE(queue->push(make_task(1, "b", vt::Time::millis(30))).ok());
-  ASSERT_TRUE(queue->push(make_task(2, "a", vt::Time::millis(10))).ok());
-  ASSERT_TRUE(queue->push(make_task(3, "c", vt::Time::millis(20))).ok());
-  EXPECT_EQ(pop_one(*queue, gate).ready, vt::Time::millis(10));
-  EXPECT_EQ(pop_one(*queue, gate).ready, vt::Time::millis(20));
-  EXPECT_EQ(pop_one(*queue, gate).ready, vt::Time::millis(30));
+  ASSERT_TRUE(queue.push(make_task(1, "b", vt::Time::millis(30))).ok());
+  ASSERT_TRUE(queue.push(make_task(2, "a", vt::Time::millis(10))).ok());
+  ASSERT_TRUE(queue.push(make_task(3, "c", vt::Time::millis(20))).ok());
+  EXPECT_EQ(pop_one(queue, gate).ready, vt::Time::millis(10));
+  EXPECT_EQ(pop_one(queue, gate).ready, vt::Time::millis(20));
+  EXPECT_EQ(pop_one(queue, gate).ready, vt::Time::millis(30));
 }
 
 TEST(FifoScheduler, EqualStampsBreakTiesByClientThenSeq) {
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;
-  ASSERT_TRUE(queue->push(make_task(5, "zeta", vt::Time::millis(10))).ok());
-  ASSERT_TRUE(queue->push(make_task(9, "alpha", vt::Time::millis(10))).ok());
-  ASSERT_TRUE(queue->push(make_task(7, "alpha", vt::Time::millis(10))).ok());
-  Task first = pop_one(*queue, gate);
-  Task second = pop_one(*queue, gate);
-  Task third = pop_one(*queue, gate);
+  ASSERT_TRUE(queue.push(make_task(5, "zeta", vt::Time::millis(10))).ok());
+  ASSERT_TRUE(queue.push(make_task(9, "alpha", vt::Time::millis(10))).ok());
+  ASSERT_TRUE(queue.push(make_task(7, "alpha", vt::Time::millis(10))).ok());
+  Task first = pop_one(queue, gate);
+  Task second = pop_one(queue, gate);
+  Task third = pop_one(queue, gate);
   EXPECT_EQ(first.client_id, "alpha");
   EXPECT_EQ(first.seq, 7u);
   EXPECT_EQ(second.client_id, "alpha");
@@ -91,25 +101,24 @@ TEST(FifoScheduler, EqualStampsBreakTiesByClientThenSeq) {
   EXPECT_EQ(third.client_id, "zeta");
 }
 
-TEST(FifoScheduler, SafePopsReportStrictOrder) {
-  auto queue = make_fifo();
+TEST(FifoScheduler, SafePopsReportSafeReason) {
+  Scheduler queue;
   vt::Gate gate;
-  ASSERT_TRUE(queue->push(make_task(1, "a", vt::Time::millis(1))).ok());
-  PopResult result = queue->pop_next_safe(gate);
+  ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(1))).ok());
+  PopResult result = queue.pop_next_safe(gate);
   ASSERT_TRUE(result.task.has_value());
-  EXPECT_TRUE(result.strict_order);
   EXPECT_EQ(result.reason, PopReason::kSafe);
   EXPECT_TRUE(result.batch.empty());  // only kBatching ever fills this
 }
 
 TEST(FifoScheduler, PopWaitsForGateSafety) {
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;
   auto source = gate.register_source(vt::Time::millis(1));
-  ASSERT_TRUE(queue->push(make_task(1, "a", vt::Time::millis(100))).ok());
+  ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(100))).ok());
   std::atomic<bool> popped{false};
   std::thread consumer([&] {
-    PopResult result = queue->pop_next_safe(gate);
+    PopResult result = queue.pop_next_safe(gate);
     EXPECT_TRUE(result.task.has_value());
     popped = true;
   });
@@ -121,55 +130,55 @@ TEST(FifoScheduler, PopWaitsForGateSafety) {
 }
 
 TEST(FifoScheduler, EarlierTaskArrivingDuringWaitIsServedFirst) {
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;
   auto source = gate.register_source(vt::Time::millis(1));
-  ASSERT_TRUE(queue->push(make_task(1, "late", vt::Time::millis(100))).ok());
+  ASSERT_TRUE(queue.push(make_task(1, "late", vt::Time::millis(100))).ok());
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_TRUE(queue->push(make_task(2, "early", vt::Time::millis(50))).ok());
+    EXPECT_TRUE(queue.push(make_task(2, "early", vt::Time::millis(50))).ok());
     source.announce(vt::Time::millis(300));
   });
-  PopResult first = queue->pop_next_safe(gate);
+  PopResult first = queue.pop_next_safe(gate);
   producer.join();
   ASSERT_TRUE(first.task.has_value());
   EXPECT_EQ(first.task->client_id, "early");
-  EXPECT_EQ(pop_one(*queue, gate).client_id, "late");
+  EXPECT_EQ(pop_one(queue, gate).client_id, "late");
 }
 
 TEST(FifoScheduler, CloseDrainsWaiters) {
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;
   std::thread consumer([&] {
-    PopResult result = queue->pop_next_safe(gate);
+    PopResult result = queue.pop_next_safe(gate);
     EXPECT_FALSE(result.task.has_value());
     EXPECT_EQ(result.reason, PopReason::kClosedDrained);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  queue->close();
+  queue.close();
   consumer.join();
   // Pushes after close are rejected with a deterministic status.
-  Status rejected = queue->push(make_task(1, "a", vt::Time::millis(1)));
+  Status rejected = queue.push(make_task(1, "a", vt::Time::millis(1)));
   EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(queue->size(), 0u);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(FifoScheduler, PushAfterCloseAlwaysRejected) {
-  auto queue = make_fifo();
-  queue->close();
+  Scheduler queue;
+  queue.close();
   for (int i = 0; i < 10; ++i) {
-    Status status = queue->push(make_task(static_cast<std::uint64_t>(i), "a",
+    Status status = queue.push(make_task(static_cast<std::uint64_t>(i), "a",
                                           vt::Time::millis(i)));
     EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   }
-  EXPECT_EQ(queue->size(), 0u);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(FifoScheduler, ConcurrentCloseAndPushNeverLosesAcceptedTasks) {
   // A push racing close() must either be accepted (and then drainable) or
   // rejected with kUnavailable — never silently dropped.
   for (int round = 0; round < 20; ++round) {
-    auto queue = make_fifo();
+    Scheduler queue;
     vt::Gate gate;
     gate.shutdown();  // pops drain without gating
     std::atomic<int> accepted{0};
@@ -177,7 +186,7 @@ TEST(FifoScheduler, ConcurrentCloseAndPushNeverLosesAcceptedTasks) {
     for (int p = 0; p < 4; ++p) {
       producers.emplace_back([&, p] {
         for (int i = 0; i < 50; ++i) {
-          Status status = queue->push(
+          Status status = queue.push(
               make_task(static_cast<std::uint64_t>(p * 50 + i),
                         "client-" + std::to_string(p), vt::Time::millis(i)));
           if (status.ok()) {
@@ -189,53 +198,80 @@ TEST(FifoScheduler, ConcurrentCloseAndPushNeverLosesAcceptedTasks) {
       });
     }
     std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
-    queue->close();
+    queue.close();
     for (auto& producer : producers) producer.join();
     int drained = 0;
-    while (queue->pop_next_safe(gate).task.has_value()) ++drained;
+    while (queue.pop_next_safe(gate).task.has_value()) ++drained;
     EXPECT_EQ(drained, accepted.load());
     // After close has been observed by every producer, rejection is sticky.
-    EXPECT_EQ(queue->push(make_task(999, "late", vt::Time::zero())).code(),
+    EXPECT_EQ(queue.push(make_task(999, "late", vt::Time::zero())).code(),
               StatusCode::kUnavailable);
   }
 }
 
 TEST(FifoScheduler, GateShutdownStillDrainsTasks) {
   // ProgramWaiter holders must not be stranded at shutdown.
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;
-  ASSERT_TRUE(queue->push(make_task(1, "a", vt::Time::millis(10))).ok());
+  ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(10))).ok());
   gate.shutdown();
-  PopResult result = queue->pop_next_safe(gate);
+  PopResult result = queue.pop_next_safe(gate);
   ASSERT_TRUE(result.task.has_value());
   EXPECT_EQ(result.task->seq, 1u);
-  EXPECT_FALSE(result.strict_order);
   EXPECT_EQ(result.reason, PopReason::kShutdownDrain);
 }
 
+TEST(FifoScheduler, GateShutdownAfterCancelWaitsForPushOrClose) {
+  // The gate shuts down while the worker waits on it, and cancel_session
+  // has emptied the queue meanwhile. The pop must not come back empty
+  // before close(): a reconfiguration pushed afterwards has a dispatcher
+  // blocked on it, so it must still be drained.
+  Scheduler queue;
+  vt::Gate gate;
+  gate.set_stall_grace(std::chrono::hours(1));
+  auto source = gate.register_source(vt::Time::zero());  // holds the gate shut
+  Task doomed = make_task(1, "a", vt::Time::millis(10));
+  doomed.session_id = 7;
+  ASSERT_TRUE(queue.push(doomed).ok());
+  PopResult popped;
+  std::thread consumer([&] { popped = queue.pop_next_safe(gate); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(queue.cancel_session(7).size(), 1u);
+  gate.shutdown();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Task program = make_task(2, "b", vt::Time::millis(20));
+  program.is_program = true;
+  ASSERT_TRUE(queue.push(program).ok());
+  consumer.join();
+  ASSERT_TRUE(popped.task.has_value());
+  EXPECT_EQ(popped.task->seq, 2u);
+  EXPECT_EQ(popped.reason, PopReason::kShutdownDrain);
+  queue.close();
+  EXPECT_EQ(queue.pop_next_safe(gate).reason, PopReason::kClosedDrained);
+}
+
 TEST(FifoScheduler, StressManyProducersOrderPreserved) {
-  auto queue = make_fifo();
+  Scheduler queue;
   vt::Gate gate;
   constexpr int kPerProducer = 200;
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(
-            queue
-                ->push(make_task(
-                    static_cast<std::uint64_t>(p * kPerProducer + i),
-                    "client-" + std::to_string(p),
-                    vt::Time::millis(1 + (i * 7 + p * 3) % 1000)))
-                .ok());
+        EXPECT_TRUE(queue
+                        .push(make_task(
+                            static_cast<std::uint64_t>(p * kPerProducer + i),
+                            "client-" + std::to_string(p),
+                            vt::Time::millis(1 + (i * 7 + p * 3) % 1000)))
+                        .ok());
       }
     });
   }
   for (auto& producer : producers) producer.join();
   vt::Time last = vt::Time::zero();
   int count = 0;
-  while (queue->size() > 0) {
-    Task task = pop_one(*queue, gate);
+  while (queue.size() > 0) {
+    Task task = pop_one(queue, gate);
     EXPECT_GE(task.ready, last);
     last = task.ready;
     ++count;
@@ -264,17 +300,17 @@ TEST(WfqScheduler, SharesTrackWeightsUnderBacklog) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kWeightedFair;
   config.weights = {{"a", 3.0}, {"b", 1.0}};
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   std::uint64_t seq = 0;
   for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(queue->push(make_task(seq++, "a", vt::Time::millis(1))).ok());
-    ASSERT_TRUE(queue->push(make_task(seq++, "b", vt::Time::millis(1))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "a", vt::Time::millis(1))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "b", vt::Time::millis(1))).ok());
   }
   int served_a = 0;
   int served_b = 0;
   for (int i = 0; i < 40; ++i) {
-    Task task = pop_one(*queue, gate);
+    Task task = pop_one(queue, gate, kBoardBusy);
     (task.client_id == "a" ? served_a : served_b)++;
   }
   EXPECT_EQ(served_a, 30);
@@ -284,18 +320,17 @@ TEST(WfqScheduler, SharesTrackWeightsUnderBacklog) {
 TEST(WfqScheduler, UnweightedClientsFallBackToDefaultWeight) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kWeightedFair;
-  config.default_weight = 1.0;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   std::uint64_t seq = 0;
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(queue->push(make_task(seq++, "x", vt::Time::millis(1))).ok());
-    ASSERT_TRUE(queue->push(make_task(seq++, "y", vt::Time::millis(1))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "x", vt::Time::millis(1))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "y", vt::Time::millis(1))).ok());
   }
   // Equal weights: the drain alternates in balanced 1:1 shares.
   int served_x = 0;
   for (int i = 0; i < 30; ++i) {
-    served_x += pop_one(*queue, gate).client_id == "x" ? 1 : 0;
+    served_x += pop_one(queue, gate, kBoardBusy).client_id == "x" ? 1 : 0;
   }
   EXPECT_EQ(served_x, 15);
 }
@@ -306,27 +341,64 @@ TEST(WfqScheduler, IdleClientReentersAtVirtualNowWithoutCredit) {
   // as banked credit and starve a.
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kWeightedFair;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   std::uint64_t seq = 0;
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(queue->push(make_task(seq++, "a", vt::Time::millis(1))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "a", vt::Time::millis(1))).ok());
   }
   for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(pop_one(*queue, gate).client_id, "a");
+    EXPECT_EQ(pop_one(queue, gate, kBoardBusy).client_id, "a");
   }
   // Now interleave fresh backlogs: b gets no catch-up burst.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue->push(make_task(seq++, "a", vt::Time::millis(2))).ok());
-    ASSERT_TRUE(queue->push(make_task(seq++, "b", vt::Time::millis(2))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "a", vt::Time::millis(2))).ok());
+    ASSERT_TRUE(queue.push(make_task(seq++, "b", vt::Time::millis(2))).ok());
   }
   int lead_b = 0;
   int max_lead_b = 0;
   for (int i = 0; i < 16; ++i) {
-    lead_b += pop_one(*queue, gate).client_id == "b" ? 1 : -1;
+    lead_b += pop_one(queue, gate, kBoardBusy).client_id == "b" ? 1 : -1;
     max_lead_b = lead_b > max_lead_b ? lead_b : max_lead_b;
   }
   EXPECT_LE(max_lead_b, 1);  // never more than one pop ahead of a
+}
+
+TEST(WfqScheduler, TagsDoNotDependOnPushPopInterleaving) {
+  // Client b is idle while a's first tasks drain. b's task (stamped 4 ms)
+  // either sits in the queue from the start or is pushed just before the
+  // pop where it becomes eligible. A tag fixed at push time would hand b
+  // banked credit in the first case only.
+  auto drain = [](bool push_b_early) {
+    Scheduler queue(config_for(SchedulerPolicy::kWeightedFair));
+    vt::Gate gate;
+    for (std::int64_t i = 1; i <= 6; ++i) {
+      EXPECT_TRUE(queue
+                      .push(make_task(static_cast<std::uint64_t>(i), "a",
+                                      vt::Time::millis(i)))
+                      .ok());
+    }
+    const Task b = make_task(7, "b", vt::Time::millis(4));
+    if (push_b_early) {
+      EXPECT_TRUE(queue.push(b).ok());
+    }
+    const std::int64_t board_free_ms[] = {0, 2, 5, 6, 6, 6, 6};
+    std::vector<std::string> order;
+    for (std::size_t pop = 0; pop < std::size(board_free_ms); ++pop) {
+      if (pop == 2 && !push_b_early) {
+        EXPECT_TRUE(queue.push(b).ok());
+      }
+      const Task task =
+          pop_one(queue, gate, vt::Time::millis(board_free_ms[pop]));
+      order.push_back(task.client_id +
+                      std::to_string(task.ready.ns() / 1'000'000));
+    }
+    return order;
+  };
+  const std::vector<std::string> expected = {"a1", "a2", "a3", "b4",
+                                             "a4", "a5", "a6"};
+  EXPECT_EQ(drain(true), expected);
+  EXPECT_EQ(drain(false), expected);
 }
 
 // ---- EdfScheduler: earliest-deadline-first -----------------------------------
@@ -334,23 +406,23 @@ TEST(WfqScheduler, IdleClientReentersAtVirtualNowWithoutCredit) {
 TEST(EdfScheduler, NeverInvertsTwoDeadlinedTasks) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kDeadline;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   // Arrival (ready) order is a-then-b, but b's deadline is tighter.
   Task a = make_task(1, "a", vt::Time::millis(10));
   a.deadline = vt::Time::millis(500);
   Task b = make_task(2, "b", vt::Time::millis(20));
   b.deadline = vt::Time::millis(100);
-  ASSERT_TRUE(queue->push(a).ok());
-  ASSERT_TRUE(queue->push(b).ok());
-  EXPECT_EQ(pop_one(*queue, gate).client_id, "b");
-  EXPECT_EQ(pop_one(*queue, gate).client_id, "a");
+  ASSERT_TRUE(queue.push(a).ok());
+  ASSERT_TRUE(queue.push(b).ok());
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).client_id, "b");
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).client_id, "a");
 }
 
 TEST(EdfScheduler, DrainIsDeadlineSorted) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kDeadline;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   // A scrambled push order over distinct deadlines; ready stamps deliberately
   // anti-correlated with deadlines so FIFO order would be the exact inverse.
@@ -359,11 +431,11 @@ TEST(EdfScheduler, DrainIsDeadlineSorted) {
   for (int deadline_ms : deadlines_ms) {
     Task task = make_task(seq++, "c", vt::Time::millis(110 - deadline_ms));
     task.deadline = vt::Time::millis(deadline_ms);
-    ASSERT_TRUE(queue->push(task).ok());
+    ASSERT_TRUE(queue.push(task).ok());
   }
   vt::Time last = vt::Time::zero();
   for (std::size_t i = 0; i < std::size(deadlines_ms); ++i) {
-    Task task = pop_one(*queue, gate);
+    Task task = pop_one(queue, gate, kBoardBusy);
     EXPECT_GE(task.deadline, last);
     last = task.deadline;
   }
@@ -372,18 +444,18 @@ TEST(EdfScheduler, DrainIsDeadlineSorted) {
 TEST(EdfScheduler, UndeadlinedTasksSortBehindByReadyStamp) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kDeadline;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   // Two no-deadline tasks (infinite) and one deadlined task pushed last: the
   // deadlined task jumps ahead; the rest fall back to ready-stamp order.
-  ASSERT_TRUE(queue->push(make_task(1, "a", vt::Time::millis(30))).ok());
-  ASSERT_TRUE(queue->push(make_task(2, "a", vt::Time::millis(10))).ok());
+  ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(30))).ok());
+  ASSERT_TRUE(queue.push(make_task(2, "a", vt::Time::millis(10))).ok());
   Task urgent = make_task(3, "b", vt::Time::millis(40));
   urgent.deadline = vt::Time::millis(60);
-  ASSERT_TRUE(queue->push(urgent).ok());
-  EXPECT_EQ(pop_one(*queue, gate).seq, 3u);
-  EXPECT_EQ(pop_one(*queue, gate).seq, 2u);
-  EXPECT_EQ(pop_one(*queue, gate).seq, 1u);
+  ASSERT_TRUE(queue.push(urgent).ok());
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 3u);
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 2u);
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 1u);
 }
 
 // ---- BatchingScheduler: same-kernel coalescing -------------------------------
@@ -392,59 +464,94 @@ TEST(BatchingScheduler, CoalescesSameKernelLaunchesUpToMaxBatch) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
   config.max_batch = 4;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   for (std::uint64_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(queue
-                    ->push(make_batchable(i, "c" + std::to_string(i),
-                                          vt::Time::millis(1 + i), "mm"))
+                    .push(make_batchable(i, "c" + std::to_string(i),
+                                         vt::Time::millis(1 + i), "mm"))
                     .ok());
   }
-  PopResult first = queue->pop_next_safe(gate);
+  PopResult first = queue.pop_next_safe(gate, kBoardBusy);
   ASSERT_TRUE(first.task.has_value());
   EXPECT_EQ(first.task->seq, 0u);
   ASSERT_EQ(first.batch.size(), 3u);  // head + 3 == max_batch
   EXPECT_EQ(first.batch[0].seq, 1u);
   EXPECT_EQ(first.batch[1].seq, 2u);
   EXPECT_EQ(first.batch[2].seq, 3u);
-  PopResult second = queue->pop_next_safe(gate);
+  PopResult second = queue.pop_next_safe(gate, kBoardBusy);
   ASSERT_TRUE(second.task.has_value());
   EXPECT_EQ(second.task->seq, 4u);
   ASSERT_EQ(second.batch.size(), 1u);
   EXPECT_EQ(second.batch[0].seq, 5u);
-  EXPECT_EQ(queue->size(), 0u);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(BatchingScheduler, WindowBoundsCoalescing) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  config.batch_window = vt::Duration::millis(10);
-  auto queue = make_scheduler(config);
+TEST(BatchingScheduler, EligibilityLimitBoundsCoalescing) {
+  // A companion joins only if it has arrived by the time the board frees:
+  // ready <= max(earliest queued ready, board_free).
+  for (const bool board_free_late : {false, true}) {
+    SCOPED_TRACE(board_free_late ? "board frees at 13 ms" : "at 12 ms");
+    Scheduler queue(config_for(SchedulerPolicy::kBatching));
+    vt::Gate gate;
+    ASSERT_TRUE(
+        queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+    ASSERT_TRUE(
+        queue.push(make_batchable(2, "b", vt::Time::millis(13), "mm")).ok());
+    PopResult first = queue.pop_next_safe(
+        gate, vt::Time::millis(board_free_late ? 13 : 12));
+    ASSERT_TRUE(first.task.has_value());
+    EXPECT_EQ(first.task->seq, 1u);
+    if (board_free_late) {
+      ASSERT_EQ(first.batch.size(), 1u);
+      EXPECT_EQ(first.batch[0].seq, 2u);
+    } else {
+      // 13 ms is past the limit: it waits for its own pass.
+      EXPECT_TRUE(first.batch.empty());
+      EXPECT_EQ(pop_one(queue, gate, vt::Time::millis(12)).seq, 2u);
+    }
+    EXPECT_EQ(queue.size(), 0u);
+  }
+}
+
+TEST(BatchingScheduler, EligibilityLimitIsComputedAfterTheWait) {
+  // The pop waits on the gate for the 100 ms head; meanwhile a task stamped
+  // 50 ms lands. The limit must come from the queue after the wait (50 ms),
+  // not from the head seen before it (100 ms): otherwise the 100 ms task
+  // would ride along only when the 50 ms push happened to land mid-wait.
+  Scheduler queue(config_for(SchedulerPolicy::kBatching));
   vt::Gate gate;
+  auto source = gate.register_source(vt::Time::millis(1));
   ASSERT_TRUE(
-      queue->push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
-  // 12 ms behind the head: outside the window, waits for its own pass.
-  ASSERT_TRUE(
-      queue->push(make_batchable(2, "b", vt::Time::millis(13), "mm")).ok());
-  PopResult first = queue->pop_next_safe(gate);
+      queue.push(make_batchable(1, "late", vt::Time::millis(100), "mm")).ok());
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_TRUE(
+        queue.push(make_batchable(2, "early", vt::Time::millis(50), "mm"))
+            .ok());
+    source.announce(vt::Time::millis(300));
+  });
+  PopResult first = queue.pop_next_safe(gate);
+  producer.join();
+  ASSERT_TRUE(first.task.has_value());
+  EXPECT_EQ(first.task->seq, 2u);
+  EXPECT_EQ(first.reason, PopReason::kSafe);
   EXPECT_TRUE(first.batch.empty());
-  PopResult second = queue->pop_next_safe(gate);
-  ASSERT_TRUE(second.task.has_value());
-  EXPECT_EQ(second.task->seq, 2u);
+  EXPECT_EQ(pop_one(queue, gate).seq, 1u);
 }
 
 TEST(BatchingScheduler, DifferentKernelsNeverCoalesce) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   ASSERT_TRUE(
-      queue->push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+      queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
   ASSERT_TRUE(
-      queue->push(make_batchable(2, "b", vt::Time::millis(2), "sobel")).ok());
-  PopResult first = queue->pop_next_safe(gate);
+      queue.push(make_batchable(2, "b", vt::Time::millis(2), "sobel")).ok());
+  PopResult first = queue.pop_next_safe(gate, kBoardBusy);
   EXPECT_TRUE(first.batch.empty());
-  EXPECT_EQ(pop_one(*queue, gate).batch_key, "sobel");
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).batch_key, "sobel");
 }
 
 TEST(BatchingScheduler, ProgramTaskIsABatchBarrier) {
@@ -452,25 +559,25 @@ TEST(BatchingScheduler, ProgramTaskIsABatchBarrier) {
   // program task may not even exist on the new bitstream.
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   ASSERT_TRUE(
-      queue->push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+      queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
   Task program;
   program.seq = 2;
   program.client_id = "a";
   program.ready = vt::Time::millis(2);
   program.is_program = true;
   program.bitstream_id = "bits-2";
-  ASSERT_TRUE(queue->push(program).ok());
+  ASSERT_TRUE(queue.push(program).ok());
   ASSERT_TRUE(
-      queue->push(make_batchable(3, "b", vt::Time::millis(3), "mm")).ok());
-  PopResult first = queue->pop_next_safe(gate);
+      queue.push(make_batchable(3, "b", vt::Time::millis(3), "mm")).ok());
+  PopResult first = queue.pop_next_safe(gate, kBoardBusy);
   ASSERT_TRUE(first.task.has_value());
   EXPECT_EQ(first.task->seq, 1u);
   EXPECT_TRUE(first.batch.empty());  // barrier stopped the scan
-  EXPECT_TRUE(pop_one(*queue, gate).is_program);
-  EXPECT_EQ(pop_one(*queue, gate).seq, 3u);
+  EXPECT_TRUE(pop_one(queue, gate, kBoardBusy).is_program);
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 3u);
 }
 
 TEST(BatchingScheduler, SkippedClientBlocksItsLaterTasks) {
@@ -479,24 +586,24 @@ TEST(BatchingScheduler, SkippedClientBlocksItsLaterTasks) {
   // before the earlier one — per-client completion order must hold.
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   ASSERT_TRUE(
-      queue->push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+      queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
   ASSERT_TRUE(
-      queue->push(make_batchable(2, "b", vt::Time::millis(2), "sobel")).ok());
+      queue.push(make_batchable(2, "b", vt::Time::millis(2), "sobel")).ok());
   ASSERT_TRUE(
-      queue->push(make_batchable(3, "b", vt::Time::millis(3), "mm")).ok());
+      queue.push(make_batchable(3, "b", vt::Time::millis(3), "mm")).ok());
   // A third client's compatible task is still free to join.
   ASSERT_TRUE(
-      queue->push(make_batchable(4, "c", vt::Time::millis(4), "mm")).ok());
-  PopResult first = queue->pop_next_safe(gate);
+      queue.push(make_batchable(4, "c", vt::Time::millis(4), "mm")).ok());
+  PopResult first = queue.pop_next_safe(gate, kBoardBusy);
   ASSERT_TRUE(first.task.has_value());
   EXPECT_EQ(first.task->seq, 1u);
   ASSERT_EQ(first.batch.size(), 1u);
   EXPECT_EQ(first.batch[0].seq, 4u);  // c joined; b seq 3 stayed blocked
-  EXPECT_EQ(pop_one(*queue, gate).seq, 2u);
-  EXPECT_EQ(pop_one(*queue, gate).seq, 3u);
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 2u);
+  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 3u);
 }
 
 TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
@@ -505,7 +612,7 @@ TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
   config.max_batch = 3;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   std::uint64_t seq = 0;
   for (int wave = 0; wave < 10; ++wave) {
@@ -515,13 +622,13 @@ TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
                                  vt::Time::millis(1 + wave),
                                  compatible ? "mm" : "sobel");
       task.seq = seq++;
-      ASSERT_TRUE(queue->push(task).ok());
+      ASSERT_TRUE(queue.push(task).ok());
     }
   }
   std::map<std::string, std::uint64_t> last_seq;
   int drained = 0;
-  while (queue->size() > 0) {
-    PopResult result = queue->pop_next_safe(gate);
+  while (queue.size() > 0) {
+    PopResult result = queue.pop_next_safe(gate, kBoardBusy);
     ASSERT_TRUE(result.task.has_value());
     std::vector<const Task*> completed{&*result.task};
     for (const Task& companion : result.batch) completed.push_back(&companion);
@@ -541,25 +648,25 @@ TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
 TEST(BatchingScheduler, CancelSessionRemovesQueuedCompanions) {
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   ASSERT_TRUE(
-      queue->push(make_batchable(1, "a", vt::Time::millis(1), "mm", 7)).ok());
+      queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm", 7)).ok());
   ASSERT_TRUE(
-      queue->push(make_batchable(2, "b", vt::Time::millis(2), "mm", 9)).ok());
+      queue.push(make_batchable(2, "b", vt::Time::millis(2), "mm", 9)).ok());
   ASSERT_TRUE(
-      queue->push(make_batchable(3, "b", vt::Time::millis(3), "mm", 9)).ok());
-  std::vector<Task> cancelled = queue->cancel_session(9);
+      queue.push(make_batchable(3, "b", vt::Time::millis(3), "mm", 9)).ok());
+  std::vector<Task> cancelled = queue.cancel_session(9);
   ASSERT_EQ(cancelled.size(), 2u);
   EXPECT_EQ(cancelled[0].seq, 2u);
   EXPECT_EQ(cancelled[1].seq, 3u);
   // The surviving session's task pops alone: cancelled tasks never appear in
   // a later batch.
-  PopResult result = queue->pop_next_safe(gate);
+  PopResult result = queue.pop_next_safe(gate, kBoardBusy);
   ASSERT_TRUE(result.task.has_value());
   EXPECT_EQ(result.task->session_id, 7u);
   EXPECT_TRUE(result.batch.empty());
-  EXPECT_EQ(queue->size(), 0u);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(BatchingScheduler, ShutdownDrainStillBatchesAndKeepsClientOrder) {
@@ -568,16 +675,15 @@ TEST(BatchingScheduler, ShutdownDrainStillBatchesAndKeepsClientOrder) {
   // when the pop is marked best-effort.
   SchedulerConfig config;
   config.policy = SchedulerPolicy::kBatching;
-  auto queue = make_scheduler(config);
+  Scheduler queue(config);
   vt::Gate gate;
   for (std::uint64_t i = 1; i <= 3; ++i) {
     ASSERT_TRUE(
-        queue->push(make_batchable(i, "a", vt::Time::millis(i), "mm")).ok());
+        queue.push(make_batchable(i, "a", vt::Time::millis(i), "mm")).ok());
   }
   gate.shutdown();  // the fault path every injected devmgr fault ends in
-  PopResult result = queue->pop_next_safe(gate);
+  PopResult result = queue.pop_next_safe(gate, kBoardBusy);
   ASSERT_TRUE(result.task.has_value());
-  EXPECT_FALSE(result.strict_order);
   EXPECT_EQ(result.reason, PopReason::kShutdownDrain);
   EXPECT_EQ(result.task->seq, 1u);
   ASSERT_EQ(result.batch.size(), 2u);
@@ -585,16 +691,81 @@ TEST(BatchingScheduler, ShutdownDrainStillBatchesAndKeepsClientOrder) {
   EXPECT_EQ(result.batch[1].seq, 3u);
 }
 
-TEST(SchedulerFactory, PolicyNamesRoundTrip) {
-  EXPECT_EQ(make_scheduler({})->name(), "fifo");
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kWeightedFair;
-  EXPECT_EQ(make_scheduler(config)->name(), "wfq");
-  config.policy = SchedulerPolicy::kDeadline;
-  EXPECT_EQ(make_scheduler(config)->name(), "edf");
-  config.policy = SchedulerPolicy::kBatching;
-  EXPECT_EQ(make_scheduler(config)->name(), "batch");
+// ---- Eligibility: the rule every reordering policy shares --------------------
+
+const SchedulerPolicy kReorderingPolicies[] = {SchedulerPolicy::kWeightedFair,
+                                               SchedulerPolicy::kDeadline,
+                                               SchedulerPolicy::kBatching};
+
+// The popped task's seq followed by its batch companions' seqs.
+std::vector<std::uint64_t> popped_seqs(const PopResult& result) {
+  std::vector<std::uint64_t> seqs;
+  if (result.task.has_value()) seqs.push_back(result.task->seq);
+  for (const Task& companion : result.batch) seqs.push_back(companion.seq);
+  return seqs;
+}
+
+TEST(Eligibility, LaterStampedTaskDoesNotChangeThePop) {
+  // The 5 ms task is what every policy would favor — tightest deadline,
+  // heaviest weight, same kernel — but it has not arrived by the time the
+  // board frees (5 ms > max(1 ms, 2 ms)). Whether a dispatcher happened to
+  // push it already must not change the pop.
+  const std::map<SchedulerPolicy, std::vector<std::uint64_t>> expected = {
+      {SchedulerPolicy::kWeightedFair, {1}},  // equal tags: gate order
+      {SchedulerPolicy::kDeadline, {2}},
+      {SchedulerPolicy::kBatching, {1, 2}}};
+  for (const SchedulerPolicy policy : kReorderingPolicies) {
+    SCOPED_TRACE(std::string(to_string(policy)));
+    for (const bool later_present : {false, true}) {
+      SchedulerConfig config = config_for(policy);
+      config.weights = {{"late", 100.0}};
+      Scheduler queue(config);
+      vt::Gate gate;
+      Task a = make_batchable(1, "a", vt::Time::millis(1), "mm");
+      a.deadline = vt::Time::millis(500);
+      Task b = make_batchable(2, "b", vt::Time::millis(2), "mm");
+      b.deadline = vt::Time::millis(400);
+      ASSERT_TRUE(queue.push(a).ok());
+      ASSERT_TRUE(queue.push(b).ok());
+      if (later_present) {
+        Task late = make_batchable(3, "late", vt::Time::millis(5), "mm");
+        late.deadline = vt::Time::millis(10);
+        ASSERT_TRUE(queue.push(late).ok());
+      }
+      EXPECT_EQ(popped_seqs(queue.pop_next_safe(gate, vt::Time::millis(2))),
+                expected.at(policy))
+          << (later_present ? "with" : "without") << " the 5 ms task";
+    }
+  }
+}
+
+TEST(Eligibility, IdleBoardPopsEarliestReadyTask) {
+  // The board has been idle since 0 ms when a arrives at 1 ms; the task
+  // every policy would favor arrives only at 3 ms. A work-conserving
+  // scheduler starts a at once instead of waiting on the gate for later
+  // work (which would end in a stall fallback here: the source never moves).
+  for (const SchedulerPolicy policy : kReorderingPolicies) {
+    SCOPED_TRACE(std::string(to_string(policy)));
+    SchedulerConfig config = config_for(policy);
+    config.weights = {{"b", 100.0}};
+    Scheduler queue(config);
+    vt::Gate gate;
+    gate.set_stall_grace(std::chrono::milliseconds(50));
+    auto source = gate.register_source(vt::Time::millis(1));
+    ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(1))).ok());
+    Task favored = make_batchable(2, "b", vt::Time::millis(3), "mm");
+    favored.deadline = vt::Time::millis(5);
+    ASSERT_TRUE(queue.push(favored).ok());
+    PopResult result = queue.pop_next_safe(gate, vt::Time::zero());
+    EXPECT_EQ(popped_seqs(result), std::vector<std::uint64_t>{1});
+    EXPECT_EQ(result.reason, PopReason::kSafe);
+  }
+}
+
+TEST(SchedulerPolicyNames, RoundTrip) {
   EXPECT_EQ(to_string(SchedulerPolicy::kFifo), "fifo");
+  EXPECT_EQ(to_string(SchedulerPolicy::kWeightedFair), "wfq");
+  EXPECT_EQ(to_string(SchedulerPolicy::kDeadline), "edf");
   EXPECT_EQ(to_string(SchedulerPolicy::kBatching), "batch");
 }
 

@@ -70,15 +70,12 @@ if [ "$status" -eq 0 ]; then
   echo "check_api: assignment map mutations are confined to the accessor block."
 fi
 
-# Scheduler encapsulation: only the Device Manager constructs or pops a
-# concrete scheduler. Everything else selects a policy through
-# SchedulerConfig and lets the manager own the queue — a second popper
-# would break the single-consumer contract (docs/SCHEDULING.md), and a
-# directly constructed policy object would bypass the manager's
-# close/cancel lifecycle. The concrete classes live in scheduler.cpp's
-# anonymous namespace, so this lint is the tripwire for anyone tempted to
-# hoist them out.
-scheduler_re='\b(FifoScheduler|WfqScheduler|EdfScheduler|BatchingScheduler|make_scheduler|pop_next_safe)\b'
+# Scheduler encapsulation: only the Device Manager constructs or pops the
+# scheduler. Everything else selects a policy through SchedulerConfig and
+# lets the manager own the queue — a second popper would break the
+# single-consumer contract (docs/SCHEDULING.md), and a directly constructed
+# scheduler would bypass the manager's close/cancel lifecycle.
+scheduler_re='\b(Scheduler|pop_next_safe)\b'
 while IFS=: read -r file line text; do
   case "$file" in
     "$repo/src/devmgr/"*) continue ;;
