@@ -1,25 +1,28 @@
-// Scheduling-policy ablation: the Device Manager's central queue run as
-// modeled FIFO (the paper's design) vs the three reordering policies of the
-// Scheduler (docs/SCHEDULING.md) — per-tenant weighted fair queueing,
-// deadline-aware EDF, and same-kernel batching.
+// Scheduling ablation: the Device Manager's central queue run as modeled
+// FIFO (the paper's design) vs same-kernel batching (docs/SCHEDULING.md).
 //
 // Setup: twelve MM tenants share the testbed's three boards (four per
 // board), driven closed-loop at equal per-function rates. Low load leaves
 // the boards mostly idle, Medium approaches saturation, High oversubscribes
 // them — the regime where Table III shows the central queue becoming the
-// bottleneck and where a policy can actually buy throughput back. Batching
-// amortizes the fixed per-launch overhead across tenants stuck behind the
-// same kernel, so it is the expected High-load winner; WFQ/EDF reshape *who*
-// waits, not how much total work the board does.
+// bottleneck and where batching can buy throughput back: it amortizes the
+// fixed per-launch overhead across tenants stuck behind the same kernel.
 //
-// Every row is byte-deterministic: each policy chooses only among the tasks
-// that have arrived by the time the board frees.
+// Every row is byte-deterministic: a batching pop chooses only among the
+// tasks that have arrived by the time the board frees.
 //
 // Batching runs pairwise (max_batch = 2): a batch completes all of its
 // requests together, so a wider batch delays its first members for nothing.
 // Measured with this setup: max_batch = 3 or 4 processes the same share of
 // the High-load target as pairs (74.14% vs 74.13%, p99 23.18 ms either
 // way) but raises the Low-load mean latency from 10.12 ms to 12.68 ms.
+//
+// Batching's lower Low/Medium mean latency (10.12 / 9.48 ms vs FIFO's
+// 11.42 ms) is not a steady-state gain. The closed-loop load generator
+// sends at max(now, previous send + period) (src/loadgen/loadgen.cpp), so
+// each tenant's send phase is fixed by when its cold-start request completes.
+// Batching pairs two first requests and so leaves a send-phase pattern with
+// fewer queue collisions than FIFO's; per-task execute time is unchanged.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -39,38 +42,18 @@ std::vector<LoadConfig> ablation_configs() {
           {"High Load", std::vector<double>(kTenants, 60.0)}};
 }
 
-SharingOptions options_for(devmgr::SchedulerPolicy policy,
-                           const LoadConfig& config) {
-  SharingOptions options;
-  options.prewarm = true;  // deterministic gate-registration order
-  options.testbed.scheduler.policy = policy;
-  if (policy == devmgr::SchedulerPolicy::kWeightedFair) {
-    // Weights proportional to the tenants' target rates, keyed by pod name.
-    for (std::size_t i = 0; i < config.rates.size(); ++i) {
-      const std::string pod = "mm-" + std::to_string(i + 1) + "-0";
-      options.testbed.scheduler.weights[pod] = config.rates[i];
-    }
-  }
-  if (policy == devmgr::SchedulerPolicy::kBatching) {
-    options.testbed.scheduler.max_batch = 2;  // see header comment
-  }
-  if (policy == devmgr::SchedulerPolicy::kDeadline) {
-    // A client-side timeout gives every call a deadline for EDF to order by.
-    // 5 s is far above any modeled latency (including the ~2.4 s cold-start
-    // reconfiguration), so nothing actually times out.
-    options.testbed.call_options.timeout = vt::Duration::seconds(5);
-  }
-  return options;
-}
+struct Policy {
+  const char* label;
+  std::size_t max_batch;
+};
+
+// max_batch = 2 for batching: see header comment.
+constexpr Policy kPolicies[] = {{"fifo", 1}, {"batch", 2}};
 
 }  // namespace
 
 int main() {
   auto factory = [] { return std::make_unique<workloads::MatMulWorkload>(); };
-
-  const std::vector<devmgr::SchedulerPolicy> policies = {
-      devmgr::SchedulerPolicy::kFifo, devmgr::SchedulerPolicy::kWeightedFair,
-      devmgr::SchedulerPolicy::kDeadline, devmgr::SchedulerPolicy::kBatching};
 
   std::printf("Scheduling ablation: 12 MM tenants, 3 boards, closed-loop\n");
   std::printf("%-12s | %-8s | %11s | %9s | %9s | %11s | %8s\n",
@@ -78,19 +61,20 @@ int main() {
               "Processed", "of tgt");
   std::printf("%s\n", std::string(86, '-').c_str());
 
-  // fifo/wfq/edf/batch results per load level, for the win-condition check.
+  // fifo/batch results per load level, for the win-condition check.
   std::vector<std::vector<ScenarioResult>> by_load;
   for (const LoadConfig& config : ablation_configs()) {
     std::vector<ScenarioResult> row;
-    for (devmgr::SchedulerPolicy policy : policies) {
+    for (const Policy& policy : kPolicies) {
+      SharingOptions options;
+      options.prewarm = true;  // deterministic gate-registration order
+      options.testbed.scheduler.max_batch = policy.max_batch;
       ScenarioResult cell = run_sharing_cell(
-          /*blastfunction=*/true, "mm", factory, config,
-          options_for(policy, config));
+          /*blastfunction=*/true, "mm", factory, config, options);
       std::printf(
           "%-12s | %-8s | %9.2f%% | %6.2f ms | %6.2f ms | %6.2f rq/s | "
           "%6.2f%%\n",
-          config.name.c_str(),
-          std::string(devmgr::to_string(policy)).c_str(),
+          config.name.c_str(), policy.label,
           cell.aggregate_utilization_pct, cell.aggregate_latency_ms,
           cell.aggregate_latency_p99_ms, cell.aggregate_processed_rps,
           100.0 * cell.aggregate_processed_rps / cell.aggregate_target_rps);
@@ -99,29 +83,22 @@ int main() {
     by_load.push_back(std::move(row));
   }
 
-  // Win condition (ISSUE 8): at High load, at least one non-FIFO policy must
-  // process a larger share of the target without blowing up tail latency
-  // (p99 <= 1.5x FIFO's).
-  const std::vector<ScenarioResult>& high = by_load.back();
-  const ScenarioResult& fifo = high.front();
+  // Win condition: at High load, batching must process a larger share of
+  // the target without blowing up tail latency (p99 <= 1.5x FIFO's).
+  const ScenarioResult& fifo = by_load.back()[0];
+  const ScenarioResult& batch = by_load.back()[1];
   const double fifo_share =
       fifo.aggregate_processed_rps / fifo.aggregate_target_rps;
-  bool win = false;
+  const double batch_share =
+      batch.aggregate_processed_rps / batch.aggregate_target_rps;
+  const bool win = batch_share > fifo_share &&
+                   batch.aggregate_latency_p99_ms <=
+                       1.5 * fifo.aggregate_latency_p99_ms;
   std::printf("\nHigh-load win check vs fifo (%.2f%% of target, p99 %.2f ms):\n",
               100.0 * fifo_share, fifo.aggregate_latency_p99_ms);
-  for (std::size_t i = 1; i < high.size(); ++i) {
-    const ScenarioResult& cell = high[i];
-    const double share =
-        cell.aggregate_processed_rps / cell.aggregate_target_rps;
-    const bool higher_share = share > fifo_share;
-    const bool tail_ok = cell.aggregate_latency_p99_ms <=
-                         1.5 * fifo.aggregate_latency_p99_ms;
-    std::printf("  %-6s: %6.2f%% of target, p99 %6.2f ms -> %s\n",
-                std::string(devmgr::to_string(policies[i])).c_str(),
-                100.0 * share, cell.aggregate_latency_p99_ms,
-                higher_share && tail_ok ? "WIN" : "no win");
-    win = win || (higher_share && tail_ok);
-  }
+  std::printf("  %-6s: %6.2f%% of target, p99 %6.2f ms -> %s\n",
+              kPolicies[1].label, 100.0 * batch_share,
+              batch.aggregate_latency_p99_ms, win ? "WIN" : "no win");
   std::printf("%s\n", win ? "ABLATION WIN CONDITION MET"
                           : "ABLATION WIN CONDITION NOT MET");
   return win ? 0 : 1;

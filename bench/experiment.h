@@ -104,7 +104,7 @@ struct SharingOptions {
   vt::Duration duration = vt::Duration::seconds(20);
   // Native functions that must keep a warm process (PipeCNN: weights).
   faas::ExecutionMode native_mode = faas::ExecutionMode::kForkPerRequest;
-  // Testbed knobs for the cell (scheduler policy, call options, ...).
+  // Testbed knobs for the cell (scheduler batching, call options, ...).
   testbed::TestbedOptions testbed{};
   // Cold-start every function sequentially (deployment order) before the
   // drivers go concurrent. This makes every tenant's device-manager session

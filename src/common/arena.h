@@ -1,6 +1,6 @@
-// Slab/arena allocation for the per-request hot path (ROADMAP item 4).
+// Arena allocation for the per-request hot path (ROADMAP item 4).
 //
-// Three tools, all recycling storage instead of round-tripping through the
+// Two tools, both recycling storage instead of round-tripping through the
 // global heap on every request (docs/PERFORMANCE.md "hot-path memory
 // discipline"):
 //
@@ -18,12 +18,6 @@
 //     empty container that keeps its previous heap capacity, recycle()
 //     clears and stores it. Spinlocked: acquire/recycle are a few
 //     instructions and never syscall.
-//
-//   bf::arena::Slab<T, ChunkSize>
-//     Append-only chunked storage (trace span records): push() allocates a
-//     fixed-size chunk every ChunkSize elements and never moves existing
-//     elements, so recording N spans costs N/ChunkSize allocations instead
-//     of log2(N) reallocations that move every string in the vector.
 #pragma once
 
 #include <array>
@@ -31,7 +25,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -200,42 +193,6 @@ class Pool {
   mutable detail::SpinLock lock_;
   std::vector<T> entries_;
   std::size_t max_entries_;
-};
-
-// Append-only chunked storage: stable addresses, O(1) amortized push with
-// one allocation per ChunkSize elements, forward iteration + operator[].
-template <typename T, std::size_t ChunkSize = 256>
-class Slab {
- public:
-  T& push(T value) {
-    if (size_ == chunks_.size() * ChunkSize) {
-      chunks_.push_back(std::make_unique<Chunk>());
-    }
-    T& slot = (*chunks_[size_ / ChunkSize])[size_ % ChunkSize];
-    slot = std::move(value);
-    ++size_;
-    return slot;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  T& operator[](std::size_t index) {
-    return (*chunks_[index / ChunkSize])[index % ChunkSize];
-  }
-  const T& operator[](std::size_t index) const {
-    return (*chunks_[index / ChunkSize])[index % ChunkSize];
-  }
-
-  void clear() {
-    chunks_.clear();
-    size_ = 0;
-  }
-
- private:
-  using Chunk = std::array<T, ChunkSize>;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace bf::arena

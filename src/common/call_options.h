@@ -53,11 +53,9 @@ struct CallOptions {
   // deterministic replay might not.
   std::chrono::milliseconds wedge_grace{1000};
 
-  [[nodiscard]] bool has_timeout() const { return timeout.ns() > 0; }
-
   // The absolute modeled deadline for a call starting at `now`.
   [[nodiscard]] vt::Time deadline_from(vt::Time now) const {
-    return has_timeout() ? now + timeout : vt::Time::infinite();
+    return timeout.ns() > 0 ? now + timeout : vt::Time::infinite();
   }
 };
 

@@ -599,11 +599,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
     case proto::Method::kFlush: {
       auto request = proto::decode<proto::FlushReq>(ByteSpan{frame.payload});
       if (!request.ok()) return;
-      const vt::Time deadline = request.value().deadline_ns != 0
-                                    ? vt::Time::nanos(static_cast<std::int64_t>(
-                                          request.value().deadline_ns))
-                                    : vt::Time::infinite();
-      seal_task(session, request.value().queue_id, at, deadline);
+      seal_task(session, request.value().queue_id, at);
       return;
     }
     case proto::Method::kFinish: {
@@ -614,11 +610,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
       marker.op_id = request.value().op_id;
       marker.queue_id = request.value().queue_id;
       append_op(session.building, std::move(marker));
-      const vt::Time deadline = request.value().deadline_ns != 0
-                                    ? vt::Time::nanos(static_cast<std::int64_t>(
-                                          request.value().deadline_ns))
-                                    : vt::Time::infinite();
-      seal_task(session, request.value().queue_id, at, deadline);
+      seal_task(session, request.value().queue_id, at);
       return;
     }
     default:
@@ -628,7 +620,7 @@ void DeviceManager::handle_command(std::uint64_t session_id,
 
 // Called with state_mutex_ held.
 void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
-                              vt::Time ready, vt::Time deadline) {
+                              vt::Time ready) {
   auto it = session.building.find(queue_id);
   if (it == session.building.end() || it->second.empty()) return;
   Task task = std::move(it->second);
@@ -637,9 +629,8 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
   task.client_id = session.client_id;
   task.queue_id = queue_id;
   task.ready = ready;
-  task.deadline = deadline;
   task.seq = next_task_seq_++;
-  // kBatching metadata: a task qualifies iff it is one dependency-free
+  // Batching metadata: a task qualifies iff it is one dependency-free
   // kernel launch (plus its transfers) moving a small number of bytes. The
   // kernel id resolves to a name here, where the session map is at hand.
   std::size_t kernel_ops = 0;
@@ -691,12 +682,11 @@ void DeviceManager::seal_task(Session& session, std::uint64_t queue_id,
 
 void DeviceManager::worker_loop() {
   for (;;) {
-    // Reordering policies choose among the tasks that arrive by the time
-    // the board frees; FIFO pops its head and needs no board lookup.
-    const vt::Time board_free =
-        config_.scheduler.policy == SchedulerPolicy::kFifo
-            ? vt::Time::zero()
-            : board_->busy_until();
+    // A batching pop chooses among the tasks that arrive by the time the
+    // board frees; FIFO pops its head and needs no board lookup.
+    const vt::Time board_free = config_.scheduler.max_batch > 1
+                                    ? board_->busy_until()
+                                    : vt::Time::zero();
     PopResult next = scheduler_.pop_next_safe(endpoint_.gate(), board_free);
     if (!next.task.has_value()) break;  // closed and drained
     if (next.reason == PopReason::kStallFallback) {

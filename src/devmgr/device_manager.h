@@ -6,10 +6,10 @@
 //     buffers, kernels, queues), and
 //   * command-queue methods by accumulating them into per-(client, queue)
 //     tasks; a flush seals the task into the central queue.
-// A single worker thread pulls tasks in scheduler-policy order (modeled FIFO
-// by default; see devmgr/scheduler.h for the weighted-fair, deadline, and
-// batching alternatives) and executes them exclusively on the board,
-// notifying each operation's event on completion.
+// A single worker thread pulls tasks in modeled-FIFO order (or, with
+// SchedulerConfig::max_batch > 1, same-kernel batches; see
+// devmgr/scheduler.h) and executes them exclusively on the board, notifying
+// each operation's event on completion.
 // Board reconfiguration is the one synchronous method that rides the central
 // queue, blocking all other operations while the board is programmed.
 //
@@ -58,8 +58,8 @@ struct DeviceManagerConfig {
   // in-memory journal. Unbounded — test/audit use only (the fault matrix
   // asserts modeled-FIFO order against it); leave off in load experiments.
   bool record_execution_journal = false;
-  // Central-queue scheduling policy (devmgr/scheduler.h). The default kFifo
-  // reproduces the paper's modeled-FIFO behavior exactly.
+  // Central-queue scheduling (devmgr/scheduler.h). The default max_batch of
+  // 1 reproduces the paper's modeled-FIFO behavior exactly.
   SchedulerConfig scheduler;
 };
 
@@ -166,8 +166,7 @@ class DeviceManager {
   void handle_sync(std::uint64_t session_id, const net::Frame& frame);
   void handle_command(std::uint64_t session_id, const net::Frame& frame);
   // Requires state_mutex_ held.
-  void seal_task(Session& session, std::uint64_t queue_id, vt::Time ready,
-                 vt::Time deadline);
+  void seal_task(Session& session, std::uint64_t queue_id, vt::Time ready);
 
   // Worker-side execution. Every command task runs through one per-task
   // core: a TaskRun (cursor, traced ops, abort flag, staged completions)
@@ -179,7 +178,7 @@ class DeviceManager {
   // Runs the task's ops in order.
   void execute_task(const Task& task);
   // Executes a batchable lead task plus its coalesced companions as one
-  // board pass (kBatching policy; devmgr/scheduler.h): phase A transfers,
+  // board pass (max_batch > 1; devmgr/scheduler.h): phase A transfers,
   // one Board::run_kernel_batch, phase C reads — over the same core.
   void execute_batch(const Task& lead, const std::vector<Task>& companions);
   TaskRun start_run(const Task& task);

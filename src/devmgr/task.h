@@ -91,13 +91,9 @@ struct Task {
   std::string client_id;  // deterministic tiebreaker for equal ready stamps
   std::uint64_t queue_id = 0;
   vt::Time ready;  // modeled arrival of the sealing flush
-  // Client-requested completion deadline (from its CallOptions timeout);
-  // infinite when the client set none. Only the kDeadline policy orders by
-  // it — no task is dropped for missing a deadline.
-  vt::Time deadline = vt::Time::infinite();
   std::vector<Operation> ops;
 
-  // kBatching metadata, derived at seal time: a task is batchable iff it is
+  // Batching metadata, derived at seal time: a task is batchable iff it is
   // exactly one dependency-free kernel launch moving a small number of bytes;
   // batch_key is the kernel name (only same-kernel launches coalesce).
   bool batchable = false;

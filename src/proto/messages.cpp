@@ -381,12 +381,10 @@ template <> constexpr auto kFields<EnqueueKernelReq> = std::tuple{
     field<Varint>(9, &EnqueueKernelReq::trace_id, if_traced),
     field<Varint>(10, &EnqueueKernelReq::parent_span, if_traced)};
 template <> constexpr auto kFields<FlushReq> = std::tuple{
-    field<Varint>(1, &FlushReq::queue_id),
-    field<Varint>(2, &FlushReq::deadline_ns, if_set)};
+    field<Varint>(1, &FlushReq::queue_id)};
 template <> constexpr auto kFields<FinishReq> = std::tuple{
     field<Varint>(1, &FinishReq::op_id),
-    field<Varint>(2, &FinishReq::queue_id),
-    field<Varint>(3, &FinishReq::deadline_ns, if_set)};
+    field<Varint>(2, &FinishReq::queue_id)};
 template <> constexpr auto kFields<OpEnqueued> = std::tuple{
     field<Varint>(1, &OpEnqueued::op_id)};
 template <> constexpr auto kFields<OpComplete> = std::tuple{

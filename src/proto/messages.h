@@ -205,19 +205,17 @@ struct EnqueueKernelReq {
   std::uint64_t parent_span = 0;
 };
 
+// FlushReq field 2 and FinishReq field 3 are retired (a completion deadline
+// nothing reads). Do not reuse them: bytes from older encoders still carry
+// them and must decode with them skipped as unknown fields.
 struct FlushReq {
   std::uint64_t queue_id = 0;
-  // Modeled completion deadline (ns since experiment start) the client
-  // derived from its CallOptions timeout; 0 = none. Only the kDeadline
-  // scheduling policy consults it.
-  std::uint64_t deadline_ns = 0;
 };
 
 // Finish = flush + completion notification carrying this op_id.
 struct FinishReq {
   std::uint64_t op_id = 0;
   std::uint64_t queue_id = 0;
-  std::uint64_t deadline_ns = 0;  // as FlushReq::deadline_ns
 };
 
 // --- Server -> client notifications ------------------------------------------

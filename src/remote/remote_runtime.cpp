@@ -501,12 +501,6 @@ class RemoteQueue final : public ocl::CommandQueue {
     auto& session = context_->session();
     proto::FlushReq request;
     request.queue_id = queue_id_;
-    // Advertise the task's completion deadline so a kDeadline manager can
-    // order it; without a timeout the field stays 0 (wire bytes unchanged).
-    if (context_->call_options().has_timeout()) {
-      request.deadline_ns = static_cast<std::uint64_t>(
-          context_->call_options().deadline_from(session.now()).ns());
-    }
     Status sent =
         context_->connection().send(proto::Method::kFlush, /*correlation=*/0,
                                     proto::encode(request), session.clock());
@@ -524,10 +518,6 @@ class RemoteQueue final : public ocl::CommandQueue {
     proto::FinishReq request;
     request.op_id = op_id;
     request.queue_id = queue_id_;
-    if (context_->call_options().has_timeout()) {
-      request.deadline_ns = static_cast<std::uint64_t>(
-          context_->call_options().deadline_from(session.now()).ns());
-    }
     Status sent = context_->connection().send(
         proto::Method::kFinish, op_id, proto::encode(request), session.clock());
     if (!sent.ok()) return sent;

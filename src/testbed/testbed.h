@@ -54,8 +54,8 @@ struct TestbedOptions {
   // Device Managers' conservative-gate stall grace (docs/VIRTUAL_TIME.md);
   // recovery tests lower it so wedged producers fall back quickly.
   std::chrono::milliseconds gate_stall_grace{1000};
-  // Central-queue scheduling policy for every Device Manager
-  // (docs/SCHEDULING.md). The default kFifo is the paper's modeled FIFO.
+  // Central-queue scheduling for every Device Manager (docs/SCHEDULING.md).
+  // The default max_batch of 1 is the paper's modeled FIFO.
   devmgr::SchedulerConfig scheduler;
   // When set, installed as the process-wide request-trace sink for the
   // testbed's lifetime (docs/TRACING.md): every request minted through the

@@ -32,7 +32,7 @@ bool span_before(const Span& a, const Span& b) {
 void TraceBuilder::add(Span span) {
   BF_CHECK(span.end >= span.start);
   std::lock_guard lock(mutex_);
-  spans_.push(std::move(span));
+  spans_.push_back(std::move(span));
 }
 
 std::size_t TraceBuilder::span_count() const {
@@ -41,9 +41,7 @@ std::size_t TraceBuilder::span_count() const {
 }
 
 std::vector<Span> TraceBuilder::sorted_locked() const {
-  std::vector<Span> out;
-  out.reserve(spans_.size());
-  for (std::size_t i = 0; i < spans_.size(); ++i) out.push_back(spans_[i]);
+  std::vector<Span> out(spans_.begin(), spans_.end());
   std::sort(out.begin(), out.end(), span_before);
   return out;
 }

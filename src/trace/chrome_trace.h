@@ -16,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "trace/span.h"
 #include "vt/time.h"
@@ -97,7 +97,7 @@ class TraceBuilder {
   mutable std::mutex mutex_;
   // Chunked append-only storage: record() under load never reallocates the
   // whole history (a vector would move every span's strings on growth).
-  arena::Slab<Span> spans_;
+  std::deque<Span> spans_;
 };
 
 // Escapes a string for embedding in a JSON literal (exposed for tests).

@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "common/rng.h"
@@ -435,15 +436,11 @@ void fill(EnqueueKernelReq& m) {
   m.parent_span = 3;
 }
 
-void fill(FlushReq& m) {
-  m.queue_id = 6;
-  m.deadline_ns = 2500000000ULL;
-}
+void fill(FlushReq& m) { m.queue_id = 6; }
 
 void fill(FinishReq& m) {
   m.op_id = 11;
   m.queue_id = 6;
-  m.deadline_ns = 1;
 }
 
 void fill(OpEnqueued& m) { m.op_id = 77; }
@@ -519,9 +516,9 @@ TEST(Golden, DefaultAndFullEncodings) {
       "0805100118092204080110212205080218ff1d220b080321000000000000e03f22020800"
       "28800f30b80838024004484d5003");
   EXPECT_EQ(hex(FlushReq{}), "0800");
-  EXPECT_EQ(hex(full<FlushReq>()), "08061080f28ba809");
+  EXPECT_EQ(hex(full<FlushReq>()), "0806");
   EXPECT_EQ(hex(FinishReq{}), "08001000");
-  EXPECT_EQ(hex(full<FinishReq>()), "080b10061801");
+  EXPECT_EQ(hex(full<FinishReq>()), "080b1006");
   EXPECT_EQ(hex(OpEnqueued{}), "0800");
   EXPECT_EQ(hex(full<OpEnqueued>()), "084d");
   EXPECT_EQ(hex(OpComplete{}), "08001202080018012800");
@@ -598,21 +595,45 @@ TEST(Golden, Payloads) {
   EXPECT_EQ(hex(done), "08091202080018182804");
 }
 
-TEST(Golden, DeadlinesAndStatusMessage) {
+TEST(Golden, FlushFinishAndStatusMessage) {
   FlushReq flush;
   flush.queue_id = 6;
   EXPECT_EQ(hex(flush), "0806");
-  flush.deadline_ns = 1000;
-  EXPECT_EQ(hex(flush), "080610e807");
   FinishReq finish;
   finish.op_id = 11;
   finish.queue_id = 6;
   EXPECT_EQ(hex(finish), "080b1006");
-  finish.deadline_ns = 1000;
-  EXPECT_EQ(hex(finish), "080b100618e807");
 
   EXPECT_EQ(hex(StatusMsg{3, ""}), "0803");
   EXPECT_EQ(hex(StatusMsg{3, "bad arg"}), "0803120762616420617267");
+}
+
+// Flush and Finish once carried a completion deadline (FlushReq field 2,
+// FinishReq field 3). Bytes from an encoder that still sends it must decode,
+// with the deadline skipped as an unknown field.
+Bytes from_hex(std::string_view text) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+TEST(WireCompat, FlushAndFinishWithDeadlineStillDecode) {
+  for (const std::string_view bytes : {"080610e807", "08061080f28ba809"}) {
+    SCOPED_TRACE(bytes);
+    auto flush = decode<FlushReq>(ByteSpan{from_hex(bytes)});
+    ASSERT_TRUE(flush.ok()) << flush.status().to_string();
+    EXPECT_EQ(flush.value().queue_id, 6u);
+  }
+  for (const std::string_view bytes : {"080b100618e807", "080b10061801"}) {
+    SCOPED_TRACE(bytes);
+    auto finish = decode<FinishReq>(ByteSpan{from_hex(bytes)});
+    ASSERT_TRUE(finish.ok()) << finish.status().to_string();
+    EXPECT_EQ(finish.value().op_id, 11u);
+    EXPECT_EQ(finish.value().queue_id, 6u);
+  }
 }
 
 // ---- codec properties --------------------------------------------------------

@@ -4,12 +4,11 @@
 // The FifoScheduler section is the golden behavior contract inherited from
 // the historical TaskQueue: every ordering, gating, close and drain property
 // the old queue guaranteed must hold byte-identically for the default
-// policy. The remaining sections cover the reordering policies: weighted
-// fair queueing share proportionality, EDF deadline ordering, batching
-// coalescing/ordering/cancel semantics, and the eligibility rule they share
-// (determinism and work conservation). The last section drives a kBatching
+// max_batch of 1. The remaining sections cover batching (max_batch > 1):
+// coalescing/ordering/cancel semantics and the eligibility rule that keeps
+// it deterministic and work-conserving. The last section drives a batching
 // DeviceManager end to end, so the worker's batched execution path runs
-// under the same label (and the same sanitizer sweep) as the policy.
+// under the same label (and the same sanitizer sweep) as the scheduler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,14 +53,14 @@ Task make_batchable(std::uint64_t seq, const std::string& client,
   return task;
 }
 
-SchedulerConfig config_for(SchedulerPolicy policy) {
+SchedulerConfig batching(std::size_t max_batch = 4) {
   SchedulerConfig config;
-  config.policy = policy;
+  config.max_batch = max_batch;
   return config;
 }
 
-// A board busy past every stamp the reordering tests queue: every queued
-// task is eligible at each pop.
+// A board busy past every stamp the batching tests queue: every queued task
+// is eligible at each pop.
 constexpr vt::Time kBoardBusy = vt::Time::seconds(1);
 
 // Convenience for tests where the pop cannot block: asserts a task came out.
@@ -108,7 +107,7 @@ TEST(FifoScheduler, SafePopsReportSafeReason) {
   PopResult result = queue.pop_next_safe(gate);
   ASSERT_TRUE(result.task.has_value());
   EXPECT_EQ(result.reason, PopReason::kSafe);
-  EXPECT_TRUE(result.batch.empty());  // only kBatching ever fills this
+  EXPECT_TRUE(result.batch.empty());  // only max_batch > 1 ever fills this
 }
 
 TEST(FifoScheduler, PopWaitsForGateSafety) {
@@ -291,180 +290,10 @@ TEST(ProgramWaiter, DeliversStatusAndTime) {
   EXPECT_EQ(end, vt::Time::millis(42));
 }
 
-// ---- WfqScheduler: per-tenant weighted fair queueing -------------------------
-
-TEST(WfqScheduler, SharesTrackWeightsUnderBacklog) {
-  // Two backlogged tenants with weights 3:1: with unit task cost, tenant a's
-  // k-th task carries finish tag k/3 and tenant b's carries k, so any prefix
-  // of the drain serves them 3:1 (exactly, ties broken by client id).
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kWeightedFair;
-  config.weights = {{"a", 3.0}, {"b", 1.0}};
-  Scheduler queue(config);
-  vt::Gate gate;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(queue.push(make_task(seq++, "a", vt::Time::millis(1))).ok());
-    ASSERT_TRUE(queue.push(make_task(seq++, "b", vt::Time::millis(1))).ok());
-  }
-  int served_a = 0;
-  int served_b = 0;
-  for (int i = 0; i < 40; ++i) {
-    Task task = pop_one(queue, gate, kBoardBusy);
-    (task.client_id == "a" ? served_a : served_b)++;
-  }
-  EXPECT_EQ(served_a, 30);
-  EXPECT_EQ(served_b, 10);
-}
-
-TEST(WfqScheduler, UnweightedClientsFallBackToDefaultWeight) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kWeightedFair;
-  Scheduler queue(config);
-  vt::Gate gate;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(queue.push(make_task(seq++, "x", vt::Time::millis(1))).ok());
-    ASSERT_TRUE(queue.push(make_task(seq++, "y", vt::Time::millis(1))).ok());
-  }
-  // Equal weights: the drain alternates in balanced 1:1 shares.
-  int served_x = 0;
-  for (int i = 0; i < 30; ++i) {
-    served_x += pop_one(queue, gate, kBoardBusy).client_id == "x" ? 1 : 0;
-  }
-  EXPECT_EQ(served_x, 15);
-}
-
-TEST(WfqScheduler, IdleClientReentersAtVirtualNowWithoutCredit) {
-  // Client b stays idle while a drains 12 tasks; when b finally submits it
-  // must compete from the current virtual time, not replay the idle period
-  // as banked credit and starve a.
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kWeightedFair;
-  Scheduler queue(config);
-  vt::Gate gate;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(queue.push(make_task(seq++, "a", vt::Time::millis(1))).ok());
-  }
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(pop_one(queue, gate, kBoardBusy).client_id, "a");
-  }
-  // Now interleave fresh backlogs: b gets no catch-up burst.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue.push(make_task(seq++, "a", vt::Time::millis(2))).ok());
-    ASSERT_TRUE(queue.push(make_task(seq++, "b", vt::Time::millis(2))).ok());
-  }
-  int lead_b = 0;
-  int max_lead_b = 0;
-  for (int i = 0; i < 16; ++i) {
-    lead_b += pop_one(queue, gate, kBoardBusy).client_id == "b" ? 1 : -1;
-    max_lead_b = lead_b > max_lead_b ? lead_b : max_lead_b;
-  }
-  EXPECT_LE(max_lead_b, 1);  // never more than one pop ahead of a
-}
-
-TEST(WfqScheduler, TagsDoNotDependOnPushPopInterleaving) {
-  // Client b is idle while a's first tasks drain. b's task (stamped 4 ms)
-  // either sits in the queue from the start or is pushed just before the
-  // pop where it becomes eligible. A tag fixed at push time would hand b
-  // banked credit in the first case only.
-  auto drain = [](bool push_b_early) {
-    Scheduler queue(config_for(SchedulerPolicy::kWeightedFair));
-    vt::Gate gate;
-    for (std::int64_t i = 1; i <= 6; ++i) {
-      EXPECT_TRUE(queue
-                      .push(make_task(static_cast<std::uint64_t>(i), "a",
-                                      vt::Time::millis(i)))
-                      .ok());
-    }
-    const Task b = make_task(7, "b", vt::Time::millis(4));
-    if (push_b_early) {
-      EXPECT_TRUE(queue.push(b).ok());
-    }
-    const std::int64_t board_free_ms[] = {0, 2, 5, 6, 6, 6, 6};
-    std::vector<std::string> order;
-    for (std::size_t pop = 0; pop < std::size(board_free_ms); ++pop) {
-      if (pop == 2 && !push_b_early) {
-        EXPECT_TRUE(queue.push(b).ok());
-      }
-      const Task task =
-          pop_one(queue, gate, vt::Time::millis(board_free_ms[pop]));
-      order.push_back(task.client_id +
-                      std::to_string(task.ready.ns() / 1'000'000));
-    }
-    return order;
-  };
-  const std::vector<std::string> expected = {"a1", "a2", "a3", "b4",
-                                             "a4", "a5", "a6"};
-  EXPECT_EQ(drain(true), expected);
-  EXPECT_EQ(drain(false), expected);
-}
-
-// ---- EdfScheduler: earliest-deadline-first -----------------------------------
-
-TEST(EdfScheduler, NeverInvertsTwoDeadlinedTasks) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kDeadline;
-  Scheduler queue(config);
-  vt::Gate gate;
-  // Arrival (ready) order is a-then-b, but b's deadline is tighter.
-  Task a = make_task(1, "a", vt::Time::millis(10));
-  a.deadline = vt::Time::millis(500);
-  Task b = make_task(2, "b", vt::Time::millis(20));
-  b.deadline = vt::Time::millis(100);
-  ASSERT_TRUE(queue.push(a).ok());
-  ASSERT_TRUE(queue.push(b).ok());
-  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).client_id, "b");
-  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).client_id, "a");
-}
-
-TEST(EdfScheduler, DrainIsDeadlineSorted) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kDeadline;
-  Scheduler queue(config);
-  vt::Gate gate;
-  // A scrambled push order over distinct deadlines; ready stamps deliberately
-  // anti-correlated with deadlines so FIFO order would be the exact inverse.
-  const int deadlines_ms[] = {70, 20, 90, 10, 50, 40, 80, 30, 100, 60};
-  std::uint64_t seq = 0;
-  for (int deadline_ms : deadlines_ms) {
-    Task task = make_task(seq++, "c", vt::Time::millis(110 - deadline_ms));
-    task.deadline = vt::Time::millis(deadline_ms);
-    ASSERT_TRUE(queue.push(task).ok());
-  }
-  vt::Time last = vt::Time::zero();
-  for (std::size_t i = 0; i < std::size(deadlines_ms); ++i) {
-    Task task = pop_one(queue, gate, kBoardBusy);
-    EXPECT_GE(task.deadline, last);
-    last = task.deadline;
-  }
-}
-
-TEST(EdfScheduler, UndeadlinedTasksSortBehindByReadyStamp) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kDeadline;
-  Scheduler queue(config);
-  vt::Gate gate;
-  // Two no-deadline tasks (infinite) and one deadlined task pushed last: the
-  // deadlined task jumps ahead; the rest fall back to ready-stamp order.
-  ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(30))).ok());
-  ASSERT_TRUE(queue.push(make_task(2, "a", vt::Time::millis(10))).ok());
-  Task urgent = make_task(3, "b", vt::Time::millis(40));
-  urgent.deadline = vt::Time::millis(60);
-  ASSERT_TRUE(queue.push(urgent).ok());
-  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 3u);
-  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 2u);
-  EXPECT_EQ(pop_one(queue, gate, kBoardBusy).seq, 1u);
-}
-
 // ---- BatchingScheduler: same-kernel coalescing -------------------------------
 
 TEST(BatchingScheduler, CoalescesSameKernelLaunchesUpToMaxBatch) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  config.max_batch = 4;
-  Scheduler queue(config);
+  Scheduler queue(batching(4));
   vt::Gate gate;
   for (std::uint64_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(queue
@@ -492,7 +321,7 @@ TEST(BatchingScheduler, EligibilityLimitBoundsCoalescing) {
   // ready <= max(earliest queued ready, board_free).
   for (const bool board_free_late : {false, true}) {
     SCOPED_TRACE(board_free_late ? "board frees at 13 ms" : "at 12 ms");
-    Scheduler queue(config_for(SchedulerPolicy::kBatching));
+    Scheduler queue(batching());
     vt::Gate gate;
     ASSERT_TRUE(
         queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
@@ -519,7 +348,7 @@ TEST(BatchingScheduler, EligibilityLimitIsComputedAfterTheWait) {
   // 50 ms lands. The limit must come from the queue after the wait (50 ms),
   // not from the head seen before it (100 ms): otherwise the 100 ms task
   // would ride along only when the 50 ms push happened to land mid-wait.
-  Scheduler queue(config_for(SchedulerPolicy::kBatching));
+  Scheduler queue(batching());
   vt::Gate gate;
   auto source = gate.register_source(vt::Time::millis(1));
   ASSERT_TRUE(
@@ -541,9 +370,7 @@ TEST(BatchingScheduler, EligibilityLimitIsComputedAfterTheWait) {
 }
 
 TEST(BatchingScheduler, DifferentKernelsNeverCoalesce) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  Scheduler queue(config);
+  Scheduler queue(batching());
   vt::Gate gate;
   ASSERT_TRUE(
       queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
@@ -557,9 +384,7 @@ TEST(BatchingScheduler, DifferentKernelsNeverCoalesce) {
 TEST(BatchingScheduler, ProgramTaskIsABatchBarrier) {
   // Nothing coalesces across a reconfiguration: the kernel behind the
   // program task may not even exist on the new bitstream.
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  Scheduler queue(config);
+  Scheduler queue(batching());
   vt::Gate gate;
   ASSERT_TRUE(
       queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
@@ -584,9 +409,7 @@ TEST(BatchingScheduler, SkippedClientBlocksItsLaterTasks) {
   // Client b's first queued task is incompatible (different kernel); pulling
   // b's *later* compatible task into the head's batch would complete it
   // before the earlier one — per-client completion order must hold.
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  Scheduler queue(config);
+  Scheduler queue(batching());
   vt::Gate gate;
   ASSERT_TRUE(
       queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
@@ -609,10 +432,7 @@ TEST(BatchingScheduler, SkippedClientBlocksItsLaterTasks) {
 TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
   // Seeded-ish mixed workload: every client's tasks must leave the scheduler
   // (head or batch position) in seq order, whatever the batching decisions.
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  config.max_batch = 3;
-  Scheduler queue(config);
+  Scheduler queue(batching(3));
   vt::Gate gate;
   std::uint64_t seq = 0;
   for (int wave = 0; wave < 10; ++wave) {
@@ -646,9 +466,7 @@ TEST(BatchingScheduler, PerClientCompletionOrderHoldsAcrossDrain) {
 }
 
 TEST(BatchingScheduler, CancelSessionRemovesQueuedCompanions) {
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  Scheduler queue(config);
+  Scheduler queue(batching());
   vt::Gate gate;
   ASSERT_TRUE(
       queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm", 7)).ok());
@@ -673,9 +491,7 @@ TEST(BatchingScheduler, ShutdownDrainStillBatchesAndKeepsClientOrder) {
   // The injected-fault/shutdown drain path goes through the same take hook:
   // batches stay well-formed (head + companions, per-client seq order) even
   // when the pop is marked best-effort.
-  SchedulerConfig config;
-  config.policy = SchedulerPolicy::kBatching;
-  Scheduler queue(config);
+  Scheduler queue(batching());
   vt::Gate gate;
   for (std::uint64_t i = 1; i <= 3; ++i) {
     ASSERT_TRUE(
@@ -691,11 +507,7 @@ TEST(BatchingScheduler, ShutdownDrainStillBatchesAndKeepsClientOrder) {
   EXPECT_EQ(result.batch[1].seq, 3u);
 }
 
-// ---- Eligibility: the rule every reordering policy shares --------------------
-
-const SchedulerPolicy kReorderingPolicies[] = {SchedulerPolicy::kWeightedFair,
-                                               SchedulerPolicy::kDeadline,
-                                               SchedulerPolicy::kBatching};
+// ---- Eligibility: which tasks a batching pop may choose among --------------
 
 // The popped task's seq followed by its batch companions' seqs.
 std::vector<std::uint64_t> popped_seqs(const PopResult& result) {
@@ -706,72 +518,65 @@ std::vector<std::uint64_t> popped_seqs(const PopResult& result) {
 }
 
 TEST(Eligibility, LaterStampedTaskDoesNotChangeThePop) {
-  // The 5 ms task is what every policy would favor — tightest deadline,
-  // heaviest weight, same kernel — but it has not arrived by the time the
-  // board frees (5 ms > max(1 ms, 2 ms)). Whether a dispatcher happened to
-  // push it already must not change the pop.
-  const std::map<SchedulerPolicy, std::vector<std::uint64_t>> expected = {
-      {SchedulerPolicy::kWeightedFair, {1}},  // equal tags: gate order
-      {SchedulerPolicy::kDeadline, {2}},
-      {SchedulerPolicy::kBatching, {1, 2}}};
-  for (const SchedulerPolicy policy : kReorderingPolicies) {
-    SCOPED_TRACE(std::string(to_string(policy)));
-    for (const bool later_present : {false, true}) {
-      SchedulerConfig config = config_for(policy);
-      config.weights = {{"late", 100.0}};
-      Scheduler queue(config);
-      vt::Gate gate;
-      Task a = make_batchable(1, "a", vt::Time::millis(1), "mm");
-      a.deadline = vt::Time::millis(500);
-      Task b = make_batchable(2, "b", vt::Time::millis(2), "mm");
-      b.deadline = vt::Time::millis(400);
-      ASSERT_TRUE(queue.push(a).ok());
-      ASSERT_TRUE(queue.push(b).ok());
-      if (later_present) {
-        Task late = make_batchable(3, "late", vt::Time::millis(5), "mm");
-        late.deadline = vt::Time::millis(10);
-        ASSERT_TRUE(queue.push(late).ok());
-      }
-      EXPECT_EQ(popped_seqs(queue.pop_next_safe(gate, vt::Time::millis(2))),
-                expected.at(policy))
-          << (later_present ? "with" : "without") << " the 5 ms task";
+  // The 5 ms task runs the same kernel, but it has not arrived by the time
+  // the board frees (5 ms > max(1 ms, 2 ms)). Whether a dispatcher happened
+  // to push it already must not change the pop.
+  for (const bool later_present : {false, true}) {
+    Scheduler queue(batching());
+    vt::Gate gate;
+    ASSERT_TRUE(
+        queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+    ASSERT_TRUE(
+        queue.push(make_batchable(2, "b", vt::Time::millis(2), "mm")).ok());
+    if (later_present) {
+      ASSERT_TRUE(
+          queue.push(make_batchable(3, "late", vt::Time::millis(5), "mm"))
+              .ok());
     }
+    EXPECT_EQ(popped_seqs(queue.pop_next_safe(gate, vt::Time::millis(2))),
+              (std::vector<std::uint64_t>{1, 2}))
+        << (later_present ? "with" : "without") << " the 5 ms task";
   }
 }
 
 TEST(Eligibility, IdleBoardPopsEarliestReadyTask) {
-  // The board has been idle since 0 ms when a arrives at 1 ms; the task
-  // every policy would favor arrives only at 3 ms. A work-conserving
-  // scheduler starts a at once instead of waiting on the gate for later
-  // work (which would end in a stall fallback here: the source never moves).
-  for (const SchedulerPolicy policy : kReorderingPolicies) {
-    SCOPED_TRACE(std::string(to_string(policy)));
-    SchedulerConfig config = config_for(policy);
-    config.weights = {{"b", 100.0}};
-    Scheduler queue(config);
-    vt::Gate gate;
-    gate.set_stall_grace(std::chrono::milliseconds(50));
-    auto source = gate.register_source(vt::Time::millis(1));
-    ASSERT_TRUE(queue.push(make_task(1, "a", vt::Time::millis(1))).ok());
-    Task favored = make_batchable(2, "b", vt::Time::millis(3), "mm");
-    favored.deadline = vt::Time::millis(5);
-    ASSERT_TRUE(queue.push(favored).ok());
-    PopResult result = queue.pop_next_safe(gate, vt::Time::zero());
-    EXPECT_EQ(popped_seqs(result), std::vector<std::uint64_t>{1});
-    EXPECT_EQ(result.reason, PopReason::kSafe);
-  }
+  // The board has been idle since 0 ms when a arrives at 1 ms; a same-kernel
+  // companion arrives only at 3 ms. A work-conserving scheduler starts a at
+  // once instead of waiting on the gate for later work (which would end in
+  // a stall fallback here: the source never moves).
+  Scheduler queue(batching());
+  vt::Gate gate;
+  gate.set_stall_grace(std::chrono::milliseconds(50));
+  auto source = gate.register_source(vt::Time::millis(1));
+  ASSERT_TRUE(
+      queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+  ASSERT_TRUE(
+      queue.push(make_batchable(2, "b", vt::Time::millis(3), "mm")).ok());
+  PopResult result = queue.pop_next_safe(gate, vt::Time::zero());
+  EXPECT_EQ(popped_seqs(result), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(result.reason, PopReason::kSafe);
 }
 
-TEST(SchedulerPolicyNames, RoundTrip) {
-  EXPECT_EQ(to_string(SchedulerPolicy::kFifo), "fifo");
-  EXPECT_EQ(to_string(SchedulerPolicy::kWeightedFair), "wfq");
-  EXPECT_EQ(to_string(SchedulerPolicy::kDeadline), "edf");
-  EXPECT_EQ(to_string(SchedulerPolicy::kBatching), "batch");
+TEST(Eligibility, FifoNeverWaitsForTheBoard) {
+  // With max_batch == 1 the pop ignores board_free: the source's bound has
+  // passed the head but will never reach the busy board's free time, so a
+  // pop that waited for the board would end in a stall fallback.
+  Scheduler queue;
+  vt::Gate gate;
+  gate.set_stall_grace(std::chrono::milliseconds(50));
+  auto source = gate.register_source(vt::Time::millis(2));
+  ASSERT_TRUE(
+      queue.push(make_batchable(1, "a", vt::Time::millis(1), "mm")).ok());
+  ASSERT_TRUE(
+      queue.push(make_batchable(2, "b", vt::Time::millis(3), "mm")).ok());
+  PopResult result = queue.pop_next_safe(gate, kBoardBusy);
+  EXPECT_EQ(popped_seqs(result), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(result.reason, PopReason::kSafe);
 }
 
-// ---- DeviceManager under kBatching: the batched execution path end to end --
+// ---- DeviceManager with max_batch > 1: the batched execution path end to end
 
-// One board behind a kBatching manager, driven by closed-loop clients that
+// One board behind a batching manager, driven by closed-loop clients that
 // each submit the same small vadd task (write a, write b, kernel, read c,
 // finish): same kernel, no wait lists, a few KiB of transfers — so queued
 // tasks of different clients coalesce into shared board passes.
@@ -791,7 +596,6 @@ struct BatchRig {
     board = std::make_unique<sim::Board>(bc);
     DeviceManagerConfig mc;
     mc.id = kBatchManager;
-    mc.scheduler.policy = SchedulerPolicy::kBatching;
     mc.scheduler.max_batch = kBatchClients;
     manager = std::make_unique<DeviceManager>(mc, board.get(), &node_shm);
     remote::ManagerAddress address;

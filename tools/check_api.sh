@@ -71,7 +71,7 @@ if [ "$status" -eq 0 ]; then
 fi
 
 # Scheduler encapsulation: only the Device Manager constructs or pops the
-# scheduler. Everything else selects a policy through SchedulerConfig and
+# scheduler. Everything else sets max_batch through SchedulerConfig and
 # lets the manager own the queue — a second popper would break the
 # single-consumer contract (docs/SCHEDULING.md), and a directly constructed
 # scheduler would bypass the manager's close/cancel lifecycle.
@@ -81,7 +81,7 @@ while IFS=: read -r file line text; do
     "$repo/src/devmgr/"*) continue ;;
   esac
   echo "check_api: $file:$line: scheduler construction/pop outside" \
-       "src/devmgr/ — select a policy via SchedulerConfig instead" >&2
+       "src/devmgr/ — configure it via SchedulerConfig instead" >&2
   status=1
 done < <(grep -rnE "$scheduler_re" "$repo/src" \
            --include='*.cpp' --include='*.h' || true)

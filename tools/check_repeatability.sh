@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run-to-run repeatability check (wired into ctest as `check_repeatability`
-# for tables III/IV and `check_repeatability_scheduling` for the scheduling
-# ablation).
+# for tables III/IV, `check_repeatability_scheduling` for the scheduling
+# ablation and `check_repeatability_figures` for Fig. 4b/4c).
 #
 # The Table III/IV high-load cells were historically flaky: tenants sharing
 # a board emit equal-ready-stamp tasks, and before every session was
