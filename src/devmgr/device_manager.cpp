@@ -266,7 +266,8 @@ void DeviceManager::serve_connection(
         auto segment =
             node_shm_->create(segment_name(session_id),
                               board_->host().memcpy_model,
-                              config_.shm_segment_bytes);
+                              config_.shm_segment_bytes,
+                              board_->functional());
         if (segment.ok()) {
           session.segment = segment.value();
           shm_granted = true;
@@ -1048,6 +1049,12 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
         if (segment == nullptr) {
           return FailedPrecondition("shm write without segment");
         }
+        if (!segment->has_contents()) {
+          // Timing-only board: the slot carries a length, not bytes.
+          auto size = segment->release(op.shm_slot);
+          if (!size.ok()) return size.status();
+          return board_->transfer(buffer, op.offset, size.value(), ready);
+        }
         auto view = segment->view(op.shm_slot);
         if (!view.ok()) return view.status();
         auto written = board_->write(buffer, op.offset, view.value(), ready);
@@ -1064,9 +1071,14 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
         }
         auto slot = segment->allocate(op.size);
         if (!slot.ok()) return slot.status();
-        auto view = segment->writable_view(slot.value());
-        if (!view.ok()) return view.status();
-        auto interval = board_->read(buffer, op.offset, view.value(), ready);
+        auto interval = [&]() -> Result<sim::Board::Interval> {
+          if (!segment->has_contents()) {
+            return board_->transfer(buffer, op.offset, op.size, ready);
+          }
+          auto view = segment->writable_view(slot.value());
+          if (!view.ok()) return view.status();
+          return board_->read(buffer, op.offset, view.value(), ready);
+        }();
         if (!interval.ok()) {
           (void)segment->release(slot.value());
           return interval.status();
@@ -1076,8 +1088,8 @@ Result<sim::Board::Interval> DeviceManager::execute_operation(
         return interval;
       }
       // Pooled read staging; no zero-fill needed because Board::read fully
-      // defines the span on success (zero-fill + copy-out; never-written
-      // device memory reads as zeros) and failures never ship `out`.
+      // defines the span on success (never-written device memory reads as
+      // zeros) and failures never ship `out`.
       Bytes out = arena::acquire(op.size);
       out.resize_for_overwrite(op.size);
       auto interval = board_->read(

@@ -6,7 +6,7 @@ namespace bf::shm {
 
 Result<std::shared_ptr<Segment>> Namespace::create(
     const std::string& name, sim::CopyModel copy_model,
-    std::uint64_t capacity_bytes) {
+    std::uint64_t capacity_bytes, bool has_contents) {
   // Grant denial: the Device Manager must fall back to the gRPC data path,
   // exactly as the paper prescribes when no shared area can be created.
   if (fault::should_fire(fault::site::kShmGrantDeny)) {
@@ -16,7 +16,8 @@ Result<std::shared_ptr<Segment>> Namespace::create(
   if (segments_.contains(name)) {
     return AlreadyExists("shm segment '" + name + "' already exists");
   }
-  auto segment = std::make_shared<Segment>(copy_model, capacity_bytes);
+  auto segment = std::make_shared<Segment>(copy_model, capacity_bytes,
+                                           has_contents);
   segments_[name] = segment;
   return segment;
 }

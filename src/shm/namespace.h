@@ -24,9 +24,12 @@ class Namespace {
   Namespace(const Namespace&) = delete;
   Namespace& operator=(const Namespace&) = delete;
 
+  // `has_contents` is the serving board's functional() flag (see
+  // Segment): a timing-only board gets a size-only segment.
   Result<std::shared_ptr<Segment>> create(const std::string& name,
                                           sim::CopyModel copy_model,
-                                          std::uint64_t capacity_bytes);
+                                          std::uint64_t capacity_bytes,
+                                          bool has_contents = true);
 
   Result<std::shared_ptr<Segment>> open(const std::string& name) const;
 

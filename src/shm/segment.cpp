@@ -17,8 +17,11 @@ constexpr std::uint64_t kMaxSpareBytes = 64ULL << 20;
 
 }  // namespace
 
-Segment::Segment(sim::CopyModel copy_model, std::uint64_t capacity_bytes)
-    : copy_model_(copy_model), capacity_(capacity_bytes) {
+Segment::Segment(sim::CopyModel copy_model, std::uint64_t capacity_bytes,
+                 bool has_contents)
+    : copy_model_(copy_model),
+      capacity_(capacity_bytes),
+      has_contents_(has_contents) {
   BF_CHECK(capacity_bytes > 0);
 }
 
@@ -32,11 +35,14 @@ Result<std::int64_t> Segment::stage(ByteSpan data, vt::Cursor& cursor) {
   std::int64_t slot = 0;
   {
     std::lock_guard lock(mutex_);
-    // No zero-fill: the copy below overwrites the slot's full logical size.
-    auto allocated = allocate_locked(data.size(), /*zero=*/false);
-    if (!allocated.ok()) return allocated.status();
-    slot = allocated.value();
-    std::copy(data.begin(), data.end(), slots_[slot].storage.begin());
+    auto added = add_slot_locked(data.size());
+    if (!added.ok()) return added.status();
+    slot = added.value();
+    if (has_contents_) {
+      Bytes& storage = slots_[slot].storage;
+      storage = buffer_locked(data.size());
+      std::copy(data.begin(), data.end(), storage.begin());
+    }
     bytes_copied_ += data.size();
     ++copies_;
   }
@@ -52,14 +58,18 @@ Result<std::int64_t> Segment::stage(Bytes&& data, vt::Cursor& cursor) {
   std::int64_t slot = 0;
   {
     std::lock_guard lock(mutex_);
-    auto inserted = insert_locked(std::move(data));
-    if (!inserted.ok()) return inserted.status();
-    slot = inserted.value();
+    auto added = add_slot_locked(size);
+    if (!added.ok()) return added.status();
+    slot = added.value();
+    if (has_contents_) slots_[slot].storage = std::move(data);
     // The modeled copy still happens (paper §III-B keeps one client-side
     // copy); only the host-side byte shuffling is elided.
     bytes_copied_ += size;
     ++copies_;
   }
+  // A size-only slot keeps no storage; the buffer goes back to the pool
+  // (through a temporary, so the caller sees it moved from in both modes).
+  if (!has_contents_) arena::recycle(Bytes{std::move(data)});
   cursor.advance(copy_model_.copy_time(size));
   return slot;
 }
@@ -78,7 +88,11 @@ Status Segment::fetch(std::int64_t slot, MutableByteSpan out,
                              "B, caller expects " +
                              std::to_string(out.size()) + "B");
     }
-    std::copy_n(it->second.storage.begin(), it->second.size, out.begin());
+    if (has_contents_) {
+      std::copy_n(it->second.storage.begin(), it->second.size, out.begin());
+    } else {
+      std::fill(out.begin(), out.end(), std::uint8_t{0});
+    }
     bytes_copied_ += out.size();
     ++copies_;
     used_ -= it->second.size;
@@ -100,19 +114,21 @@ Result<Bytes> Segment::fetch_take(std::int64_t slot, vt::Cursor& cursor) {
     }
     size = it->second.size;
     out = std::move(it->second.storage);
-    // Recycled backing may be larger than the slot's logical size; shrink
-    // (no reallocation, contents preserved) so callers see exact payloads.
-    out.resize(size);
     bytes_copied_ += size;
     ++copies_;
     used_ -= size;
     slots_.erase(it);
+  }
+  if (!has_contents_) {
+    out = arena::acquire(size);
+    out.resize(size);  // zero-fills from empty
   }
   cursor.advance(copy_model_.copy_time(size));
   return out;
 }
 
 Result<ByteSpan> Segment::view(std::int64_t slot) const {
+  if (!has_contents_) return FailedPrecondition("size-only shm segment");
   std::lock_guard lock(mutex_);
   auto it = slots_.find(slot);
   if (it == slots_.end()) {
@@ -123,10 +139,15 @@ Result<ByteSpan> Segment::view(std::int64_t slot) const {
 
 Result<std::int64_t> Segment::allocate(std::uint64_t size) {
   std::lock_guard lock(mutex_);
-  return allocate_locked(size, /*zero=*/true);
+  auto added = add_slot_locked(size);
+  if (added.ok() && has_contents_) {
+    slots_[added.value()].storage = buffer_locked(size);
+  }
+  return added;
 }
 
 Result<MutableByteSpan> Segment::writable_view(std::int64_t slot) {
+  if (!has_contents_) return FailedPrecondition("size-only shm segment");
   std::lock_guard lock(mutex_);
   auto it = slots_.find(slot);
   if (it == slots_.end()) {
@@ -135,16 +156,17 @@ Result<MutableByteSpan> Segment::writable_view(std::int64_t slot) {
   return MutableByteSpan{it->second.storage.data(), it->second.size};
 }
 
-Status Segment::release(std::int64_t slot) {
+Result<std::uint64_t> Segment::release(std::int64_t slot) {
   std::lock_guard lock(mutex_);
   auto it = slots_.find(slot);
   if (it == slots_.end()) {
     return NotFound("unknown shm slot " + std::to_string(slot));
   }
-  used_ -= it->second.size;
+  const std::uint64_t size = it->second.size;
+  used_ -= size;
   recycle_locked(std::move(it->second.storage));
   slots_.erase(it);
-  return Status::Ok();
+  return size;
 }
 
 std::uint64_t Segment::used() const {
@@ -167,14 +189,19 @@ std::size_t Segment::slot_count() const {
   return slots_.size();
 }
 
-Result<std::int64_t> Segment::allocate_locked(std::uint64_t size, bool zero) {
+Result<std::int64_t> Segment::add_slot_locked(std::uint64_t size) {
   if (size == 0) return InvalidArgument("zero-size shm slot");
   if (used_ + size > capacity_) {
     return ResourceExhausted("shm segment full: " + std::to_string(used_) +
                              "B used of " + std::to_string(capacity_) + "B");
   }
-  Slot slot;
-  slot.size = size;
+  const std::int64_t id = next_slot_++;
+  slots_.emplace(id, Slot{Bytes{}, size});
+  used_ += size;
+  return id;
+}
+
+Bytes Segment::buffer_locked(std::uint64_t size) {
   // Reuse the smallest spare buffer that fits before allocating fresh.
   std::size_t best = spare_.size();
   for (std::size_t i = 0; i < spare_.size(); ++i) {
@@ -184,52 +211,27 @@ Result<std::int64_t> Segment::allocate_locked(std::uint64_t size, bool zero) {
       best = i;
     }
   }
+  Bytes storage;
   if (best != spare_.size()) {
-    slot.storage = std::move(spare_[best]);
-    spare_bytes_ -= slot.storage.capacity();
+    storage = std::move(spare_[best]);
+    spare_bytes_ -= storage.capacity();
     spare_.erase(spare_.begin() + static_cast<std::ptrdiff_t>(best));
-    if (slot.storage.size() < size) slot.storage.resize(size);
-    if (zero) {
-      std::fill_n(slot.storage.begin(), size, std::uint8_t{0});
-    }
   } else {
     // Spare-cache miss: fall back to the process-wide arena before the
-    // heap. Pooled buffers carry stale contents, so the zero=true path
-    // (manager-side read slots — sim::DeviceMemory materializes lazily and
-    // skips the copy-out for never-written buffers) must zero explicitly;
-    // the zero=false path is fully overwritten by the caller's copy.
-    slot.storage = arena::acquire(size);
-    if (zero) {
-      slot.storage.resize(size);  // zero-fills from empty
-    } else {
-      slot.storage.resize_for_overwrite(size);
-    }
+    // heap.
+    storage = arena::acquire(size);
   }
-  const std::int64_t id = next_slot_++;
-  slots_.emplace(id, std::move(slot));
-  used_ += size;
-  return id;
-}
-
-Result<std::int64_t> Segment::insert_locked(Bytes&& storage) {
-  const std::uint64_t size = storage.size();
-  if (size == 0) return InvalidArgument("zero-size shm slot");
-  if (used_ + size > capacity_) {
-    return ResourceExhausted("shm segment full: " + std::to_string(used_) +
-                             "B used of " + std::to_string(capacity_) + "B");
-  }
-  Slot slot;
-  slot.size = size;
-  slot.storage = std::move(storage);
-  const std::int64_t id = next_slot_++;
-  slots_.emplace(id, std::move(slot));
-  used_ += size;
-  return id;
+  // Stale contents are fine: every caller overwrites the full size (the
+  // client's copy, or the board read that defines every byte on success).
+  storage.resize_for_overwrite(size);
+  return storage;
 }
 
 void Segment::recycle_locked(Bytes storage) {
+  // Inline storage (small or size-only slots) has no heap block to keep.
+  if (!storage.is_heap()) return;
   const std::uint64_t bytes = storage.capacity();
-  if (bytes == 0 || spare_.size() >= kMaxSpareBuffers ||
+  if (spare_.size() >= kMaxSpareBuffers ||
       spare_bytes_ + bytes > kMaxSpareBytes) {
     // Doesn't fit the per-segment cache: offer it to the process-wide
     // arena (which enforces its own size bounds) instead of freeing.

@@ -5,14 +5,22 @@
 // data copies from four to one (paper §III-B). The one remaining copy — kept
 // for OpenCL compatibility — is the application-buffer <-> shared-slot copy
 // on the client side; it is charged to the client's cursor via the node's
-// memcpy model. The span-based stage/fetch overloads perform that copy for
-// real (so data integrity is testable); the Bytes&&/fetch_take overloads
-// transfer ownership instead — zero host work — while still charging the
-// same modeled cost and counting the same modeled copy, so virtual-time
-// results and copy accounting are identical either way.
+// memcpy model.
+//
+// Whether that copy is also a real host memcpy depends on the board behind
+// the segment. A segment serving a functional board holds bytes: the
+// span-based stage/fetch overloads copy for real (so data integrity is
+// testable) and the Bytes&&/fetch_take overloads transfer ownership
+// instead. A segment serving a timing-only board is size-only: nothing
+// reads its bytes, so a slot carries a length and no storage, stage copies
+// nothing and fetch zero-fills the destination (a timing-only board reads
+// as zeros). Every call charges the same modeled cost and counts the same
+// modeled copy in both modes, so virtual-time results and copy accounting
+// do not depend on the mode.
 //
 // The Device Manager side hands slots to the board's DMA engine directly
-// (PCIe cost charged by the board, no host copy).
+// (PCIe cost charged by the board, no host copy); a size-only slot goes to
+// sim::Board::transfer, which charges the same PCIe time by size.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +39,10 @@ namespace bf::shm {
 // system, mounted into both containers by the Registry's pod patch).
 class Segment {
  public:
-  Segment(sim::CopyModel copy_model, std::uint64_t capacity_bytes);
+  // `has_contents` is the board's functional() flag: false makes every slot
+  // size-only (see the file comment).
+  Segment(sim::CopyModel copy_model, std::uint64_t capacity_bytes,
+          bool has_contents = true);
 
   Segment(const Segment&) = delete;
   Segment& operator=(const Segment&) = delete;
@@ -46,37 +57,45 @@ class Segment {
   Result<std::int64_t> stage(ByteSpan data, vt::Cursor& cursor);
 
   // Ownership-transfer variant: moves the buffer into the slot without
-  // touching its bytes. Same modeled charge and copy accounting as the
-  // copying overload (virtual-time results are identical either way); the
+  // touching its bytes (a size-only segment hands it to arena::recycle
+  // instead). Same modeled charge and copy accounting as the copying
+  // overload (virtual-time results are identical either way); the
   // difference is purely real-time — no memcpy of the payload. On error the
   // argument is left untouched, so the caller can fall back or retry.
   Result<std::int64_t> stage(Bytes&& data, vt::Cursor& cursor);
 
   // Copies a slot's contents out into an application buffer (the single
-  // modeled copy on the read path) and releases the slot. Use when the
-  // destination is caller-owned memory (OpenCL blocking-read semantics).
+  // modeled copy on the read path) and releases the slot; a size-only slot
+  // zero-fills `out`. Use when the destination is caller-owned memory
+  // (OpenCL blocking-read semantics).
   Status fetch(std::int64_t slot, MutableByteSpan out, vt::Cursor& cursor);
 
   // Ownership-transfer variant of fetch: returns the slot's buffer itself
-  // and releases the slot. Prefer this when the caller would otherwise
-  // allocate a Bytes just to fetch into it — same modeled charge as fetch,
-  // no real memcpy.
+  // and releases the slot (a zero-filled pooled buffer for a size-only
+  // slot). Prefer this when the caller would otherwise allocate a Bytes
+  // just to fetch into it — same modeled charge as fetch, no real memcpy.
   Result<Bytes> fetch_take(std::int64_t slot, vt::Cursor& cursor);
 
   // --- manager side ---------------------------------------------------------
 
   // Zero-copy view of a staged slot for board DMA. Valid until release().
+  // FailedPrecondition on a size-only segment: there are no bytes to view.
   Result<ByteSpan> view(std::int64_t slot) const;
 
-  // Allocates a zero-filled slot the board DMA will fill (read path).
+  // Allocates a slot the board DMA will fill (read path). Its contents are
+  // unspecified until the board's read defines every byte.
   Result<std::int64_t> allocate(std::uint64_t size);
+  // FailedPrecondition on a size-only segment, like view().
   Result<MutableByteSpan> writable_view(std::int64_t slot);
 
-  Status release(std::int64_t slot);
+  // Frees a slot and returns its size (what a size-only write transfers).
+  Result<std::uint64_t> release(std::int64_t slot);
 
   // --- introspection ---------------------------------------------------------
 
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
+  // False for a size-only segment (timing-only board): slots carry lengths.
+  [[nodiscard]] bool has_contents() const { return has_contents_; }
   [[nodiscard]] std::uint64_t used() const;
   [[nodiscard]] std::uint64_t total_bytes_copied() const;
   [[nodiscard]] std::uint64_t copy_count() const;
@@ -84,19 +103,23 @@ class Segment {
 
  private:
   // A slot's logical size may be smaller than its backing capacity when the
-  // buffer was recycled from a previously released slot.
+  // buffer was recycled from a previously released slot. Storage is empty
+  // on a size-only segment.
   struct Slot {
     Bytes storage;
     std::uint64_t size = 0;
   };
 
-  Result<std::int64_t> allocate_locked(std::uint64_t size, bool zero);
-  // Moves from `storage` only on success.
-  Result<std::int64_t> insert_locked(Bytes&& storage);
+  // Checks size and capacity and adds a `size`-byte slot with no storage.
+  Result<std::int64_t> add_slot_locked(std::uint64_t size);
+  // A `size`-byte buffer with unspecified contents: the smallest spare
+  // that fits, else the arena.
+  Bytes buffer_locked(std::uint64_t size);
   void recycle_locked(Bytes storage);
 
   sim::CopyModel copy_model_;
   std::uint64_t capacity_;
+  bool has_contents_;
   mutable std::mutex mutex_;
   std::map<std::int64_t, Slot> slots_;
   // Bounded cache of released slot buffers, so the steady-state stage/fetch

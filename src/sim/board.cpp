@@ -151,34 +151,47 @@ Status Board::release(MemHandle handle) {
 Result<Board::Interval> Board::write(MemHandle handle, std::uint64_t offset,
                                      ByteSpan data, vt::Time ready) {
   std::lock_guard lock(mutex_);
-  if (config_.functional) {
-    if (Status s = memory_.write(handle, offset, data); !s.ok()) return s;
-  } else {
+  if (!config_.functional) {
     // Timing-only mode: charge the transfer without materializing contents
     // (large load experiments would otherwise hold every tenant's weights).
-    auto size = memory_.allocation_size(handle);
-    if (!size.ok()) return size.status();
-    if (offset + data.size() > size.value()) {
-      return InvalidArgument("device write out of bounds");
-    }
+    return transfer_locked(handle, offset, data.size(), ready);
   }
+  if (Status s = memory_.write(handle, offset, data); !s.ok()) return s;
   return schedule_locked(ready, config_.host.pcie.transfer_time(data.size()));
 }
 
 Result<Board::Interval> Board::read(MemHandle handle, std::uint64_t offset,
                                     MutableByteSpan out, vt::Time ready) {
   std::lock_guard lock(mutex_);
-  if (config_.functional) {
-    if (Status s = memory_.read(handle, offset, out); !s.ok()) return s;
-  } else {
-    auto size = memory_.allocation_size(handle);
-    if (!size.ok()) return size.status();
-    if (offset + out.size() > size.value()) {
-      return InvalidArgument("device read out of bounds");
-    }
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
+  if (!config_.functional) {
+    auto interval = transfer_locked(handle, offset, out.size(), ready);
+    if (interval.ok()) std::fill(out.begin(), out.end(), std::uint8_t{0});
+    return interval;
   }
+  if (Status s = memory_.read(handle, offset, out); !s.ok()) return s;
   return schedule_locked(ready, config_.host.pcie.transfer_time(out.size()));
+}
+
+Result<Board::Interval> Board::transfer(MemHandle handle, std::uint64_t offset,
+                                        std::uint64_t size, vt::Time ready) {
+  if (config_.functional) {
+    return FailedPrecondition("size-only transfer on functional board " +
+                              config_.id);
+  }
+  std::lock_guard lock(mutex_);
+  return transfer_locked(handle, offset, size, ready);
+}
+
+Result<Board::Interval> Board::transfer_locked(MemHandle handle,
+                                               std::uint64_t offset,
+                                               std::uint64_t size,
+                                               vt::Time ready) {
+  auto allocation = memory_.allocation_size(handle);
+  if (!allocation.ok()) return allocation.status();
+  if (offset + size > allocation.value()) {
+    return InvalidArgument("device transfer out of bounds");
+  }
+  return schedule_locked(ready, config_.host.pcie.transfer_time(size));
 }
 
 Result<Board::Interval> Board::run_kernel(const KernelLaunch& launch,

@@ -93,6 +93,11 @@ class Board {
   // Board -> host transfer.
   Result<Interval> read(MemHandle handle, std::uint64_t offset,
                         MutableByteSpan out, vt::Time ready);
+  // Size-only transfer for a timing-only board, in either direction: the
+  // bounds check and PCIe charge of write()/read() with no bytes moved.
+  // FailedPrecondition on a functional board, whose memory must see them.
+  Result<Interval> transfer(MemHandle handle, std::uint64_t offset,
+                            std::uint64_t size, vt::Time ready);
 
   // --- Kernel execution -----------------------------------------------------
 
@@ -125,6 +130,8 @@ class Board {
   // utilization metric (reconfiguration is not an OpenCL call, §III-C).
   Interval schedule_locked(vt::Time ready, vt::Duration exec,
                            bool count_busy = true);
+  Result<Interval> transfer_locked(MemHandle handle, std::uint64_t offset,
+                                   std::uint64_t size, vt::Time ready);
 
   struct Region {
     std::optional<Bitstream> bitstream;

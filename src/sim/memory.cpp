@@ -87,13 +87,12 @@ Status DeviceMemory::read(MemHandle handle, std::uint64_t offset,
                            std::to_string(out.size()) + " > " +
                            std::to_string(alloc.size));
   }
-  // Unmaterialized (never-written) memory reads as zeroes.
-  std::fill(out.begin(), out.end(), std::uint8_t{0});
-  if (alloc.data.empty()) return Status::Ok();
   const std::uint64_t available =
       alloc.data.size() > offset ? alloc.data.size() - offset : 0;
   const std::uint64_t n = std::min<std::uint64_t>(available, out.size());
-  std::copy_n(alloc.data.begin() + offset, n, out.begin());
+  if (n > 0) std::copy_n(alloc.data.begin() + offset, n, out.begin());
+  // Unmaterialized (never-written) memory reads as zeroes.
+  std::fill(out.begin() + n, out.end(), std::uint8_t{0});
   return Status::Ok();
 }
 

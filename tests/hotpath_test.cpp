@@ -20,13 +20,16 @@
 namespace bf {
 namespace {
 
+// `functional` = false is a timing-only board, whose shm segments are
+// size-only: the shm path then moves lengths, not bytes.
 struct Rig {
-  explicit Rig(bool with_shm) {
+  explicit Rig(bool with_shm, bool functional = true) {
     sim::BoardConfig bc;
     bc.id = "fpga-b";
     bc.node = "B";
     bc.host = sim::make_node_b();
     bc.memory_bytes = 64 * kMiB;
+    bc.functional = functional;
     board = std::make_unique<sim::Board>(bc);
     devmgr::DeviceManagerConfig mc;
     mc.id = "devmgr-b";
@@ -116,11 +119,23 @@ TEST(HotPathDiscipline, GrpcRequestLoopMovesPayloadAndReusesArena) {
       << "steady-state requests must be served from the arena free lists";
 }
 
+// The shm cases run on a functional board (segments hold bytes) and on a
+// timing-only one (size-only segments).
+class ShmHotPath : public ::testing::TestWithParam<bool> {
+ protected:
+  [[nodiscard]] bool functional() const { return GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(HotPathDiscipline, ShmHotPath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Functional" : "TimingOnly";
+                         });
+
 // Same request stream over the shared-memory data path: the segment's
 // spare cache plus the arena backstop must make the steady state
-// allocation-free as well.
-TEST(HotPathDiscipline, ShmRequestLoopIsAllocationFreeAfterWarmup) {
-  Rig rig(/*with_shm=*/true);
+// allocation- and copy-free as well.
+TEST_P(ShmHotPath, ShmRequestLoopIsAllocationFreeAfterWarmup) {
+  Rig rig(/*with_shm=*/true, functional());
   ocl::Session session("tenant");
   auto context = rig.runtime->create_context("fpga-b", session);
   ASSERT_TRUE(context.ok());
@@ -147,6 +162,7 @@ TEST(HotPathDiscipline, ShmRequestLoopIsAllocationFreeAfterWarmup) {
     payload = std::move(next);
   }
 
+  const std::uint64_t copies_before = Bytes::deep_copy_count();
   const std::uint64_t allocs_before = Bytes::heap_alloc_count();
   for (int i = 0; i < 32; ++i) {
     Bytes next;
@@ -154,14 +170,17 @@ TEST(HotPathDiscipline, ShmRequestLoopIsAllocationFreeAfterWarmup) {
                 std::move(payload), read_back, next);
     payload = std::move(next);
   }
+  EXPECT_EQ(Bytes::deep_copy_count() - copies_before, 0u)
+      << "a Bytes deep copy crept into the per-request path";
   EXPECT_EQ(Bytes::heap_alloc_count() - allocs_before, 0u);
 }
 
 // Segment-level regression: the stage(Bytes&&) -> fetch_take cycle and the
 // allocate -> release read-slot loop both reuse storage (spare cache or
 // arena) instead of allocating per iteration.
-TEST(HotPathDiscipline, SegmentSteadyStateStageFetchTakeIsAllocationFree) {
-  shm::Segment segment(sim::CopyModel(13.0 * 1024 * 1024 * 1024), 64 << 20);
+TEST_P(ShmHotPath, SegmentSteadyStateStageFetchTakeIsAllocationFree) {
+  shm::Segment segment(sim::CopyModel(13.0 * 1024 * 1024 * 1024), 64 << 20,
+                       functional());
   vt::Cursor cursor;
   Bytes buffer(512 * 1024, 0x5A);
   for (int i = 0; i < 8; ++i) {  // warmup
@@ -182,8 +201,9 @@ TEST(HotPathDiscipline, SegmentSteadyStateStageFetchTakeIsAllocationFree) {
   EXPECT_EQ(Bytes::heap_alloc_count() - allocs_before, 0u);
 }
 
-TEST(HotPathDiscipline, SegmentReadSlotLoopReusesSpares) {
-  shm::Segment segment(sim::CopyModel(13.0 * 1024 * 1024 * 1024), 64 << 20);
+TEST_P(ShmHotPath, SegmentReadSlotLoopReusesSpares) {
+  shm::Segment segment(sim::CopyModel(13.0 * 1024 * 1024 * 1024), 64 << 20,
+                       functional());
   vt::Cursor cursor;
   Bytes out(256 * 1024);
   for (int i = 0; i < 8; ++i) {  // warm the spare cache

@@ -19,12 +19,13 @@ namespace bf {
 namespace {
 
 struct Rig {
-  explicit Rig(bool with_shm) {
+  explicit Rig(bool with_shm, bool functional = true) {
     sim::BoardConfig bc;
     bc.id = "fpga-b";
     bc.node = "B";
     bc.host = sim::make_node_b();
     bc.memory_bytes = 512 * kMiB;
+    bc.functional = functional;
     board = std::make_unique<sim::Board>(bc);
 
     devmgr::DeviceManagerConfig mc;
@@ -136,6 +137,46 @@ TEST(RemoteRuntime, SharedMemoryPathIsFasterThanGrpc) {
   (void)run_vadd(*grpc.runtime, s1, 1u << 20);  // 4 MiB buffers
   (void)run_vadd(*shm.runtime, s2, 1u << 20);
   EXPECT_LT(s2.now().ns(), s1.now().ns());
+}
+
+// A timing-only board gets a size-only segment: no payload bytes cross it,
+// and a read lands in the application buffer as the zeros the board itself
+// reads back. The modeled charges match a functional board's segment.
+TEST(RemoteRuntime, TimingOnlyBoardShmReadFillsZeros) {
+  constexpr std::size_t kSize = 64 * 1024;
+  auto round_trip = [&](bool functional, Bytes& out) {
+    Rig rig(/*with_shm=*/true, functional);
+    ocl::Session session("fn-shm");
+    auto context = rig.runtime->create_context("fpga-b", session);
+    EXPECT_TRUE(context.ok());
+    if (!context.ok()) return vt::Time{};
+    // Session 1 was the router's device probe.
+    auto segment = rig.node_shm.open("devmgr-b:sess:2");
+    EXPECT_TRUE(segment.ok());
+    if (segment.ok()) {
+      EXPECT_EQ(segment.value()->has_contents(), functional);
+    }
+    auto buffer = context.value()->create_buffer(kSize);
+    auto queue = context.value()->create_queue();
+    EXPECT_TRUE(buffer.ok() && queue.ok());
+    if (!buffer.ok() || !queue.ok()) return vt::Time{};
+    EXPECT_TRUE(queue.value()
+                    ->enqueue_write(buffer.value(), 0, Bytes(kSize, 0x5A),
+                                    /*blocking=*/true)
+                    .ok());
+    EXPECT_TRUE(queue.value()
+                    ->enqueue_read(buffer.value(), 0, MutableByteSpan{out},
+                                   /*blocking=*/true)
+                    .ok());
+    return session.now();
+  };
+  Bytes bytes_out(kSize, 0xFF);
+  const vt::Time with_bytes = round_trip(/*functional=*/true, bytes_out);
+  EXPECT_EQ(bytes_out, Bytes(kSize, 0x5A));
+  Bytes sizes_out(kSize, 0xFF);
+  const vt::Time with_sizes = round_trip(/*functional=*/false, sizes_out);
+  EXPECT_EQ(sizes_out, Bytes(kSize));
+  EXPECT_EQ(with_sizes.ns(), with_bytes.ns());
 }
 
 TEST(RemoteRuntime, DeviceInfoMatchesNative) {

@@ -158,17 +158,34 @@ TEST(Board, TimingOnlyModeSkipsDataButChecksBounds) {
   auto buffer = board.allocate(1024);
   ASSERT_TRUE(buffer.ok());
   Bytes data(512, 0xAA);
-  ASSERT_TRUE(
-      board.write(buffer.value(), 0, ByteSpan{data}, board.busy_until()).ok());
+  auto written =
+      board.write(buffer.value(), 0, ByteSpan{data}, board.busy_until());
+  ASSERT_TRUE(written.ok());
   Bytes out(512, 0xFF);
   ASSERT_TRUE(board.read(buffer.value(), 0, MutableByteSpan{out},
                          board.busy_until())
                   .ok());
   for (std::uint8_t byte : out) EXPECT_EQ(byte, 0);  // zeros, not data
+  // The size-only transfer charges exactly what the byte-carrying write did.
+  auto moved = board.transfer(buffer.value(), 0, 512, board.busy_until());
+  ASSERT_TRUE(moved.ok());
+  EXPECT_EQ(moved.value().duration(), written.value().duration());
   // Bounds still enforced.
   Bytes big(2048);
   EXPECT_FALSE(
       board.write(buffer.value(), 0, ByteSpan{big}, board.busy_until()).ok());
+  EXPECT_EQ(board.transfer(buffer.value(), 512, 1024, board.busy_until())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A functional board's memory must see the bytes: no size-only transfer.
+  Board functional(small_board(/*functional=*/true));
+  auto handle = functional.allocate(1024);
+  ASSERT_TRUE(handle.ok());
+  EXPECT_EQ(functional.transfer(handle.value(), 0, 512, vt::Time::zero())
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(Board, TransferTimeDependsOnHostPcie) {
